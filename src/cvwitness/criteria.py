@@ -106,26 +106,40 @@ def werner_wolf_2x2(p):
     return Verdict("werner_wolf_2x2", float(margin))
 
 
-def _ww_pair_feasible(p, x, y):
-    t1 = (p.A - 1.0 / x) * (p.C - 1.0 / y)
-    t2 = (p.B - x) * (p.D - y)
-    return (
-        p.A - 1.0 / x >= 0
-        and p.C - 1.0 / y >= 0
-        and p.B - x >= 0
-        and p.D - y >= 0
-        and t1 >= p.E * p.E
-        and t2 >= p.F * p.F
-    )
+def _refine_window(feasible, x0, y0):
+    """First feasible (x, y), row-major, on an 80 x 80 window around (x0, y0).
+
+    The window spans +-5% geometrically on each axis; ``feasible`` maps
+    broadcast x, y arrays to a boolean grid. Returns None when no window
+    point is feasible.
+    """
+    x = np.geomspace(x0 / 1.05, x0 * 1.05, 80)[:, None]
+    y = np.geomspace(y0 / 1.05, y0 * 1.05, 80)[None, :]
+    ok = feasible(x, y)
+    if not ok.any():
+        return None
+    i, j = np.unravel_index(np.argmax(ok), ok.shape)
+    return float(x[i, 0]), float(y[0, j])
 
 
-def ww_pair_exists(p, points=600, refine=True):
+def ww_pair_exists(p):
     """Grid search for (x, y) > 0 satisfying the pure-product certificate pair.
 
     Looks for (A - 1/x)(C - 1/y) >= E^2 and (B - x)(D - y) >= F^2 over a
     logarithmic grid with one local refinement pass.
     """
-    grid = np.logspace(-3.0, 3.0, points)
+
+    def feasible(x, y):
+        return (
+            (p.A - 1.0 / x >= 0)
+            & (p.C - 1.0 / y >= 0)
+            & (p.B - x >= 0)
+            & (p.D - y >= 0)
+            & ((p.A - 1.0 / x) * (p.C - 1.0 / y) >= p.E * p.E)
+            & ((p.B - x) * (p.D - y) >= p.F * p.F)
+        )
+
+    grid = np.logspace(-3.0, 3.0, 600)
     xs = grid[(1.0 / grid <= p.A) & (grid <= p.B)]
     ys = grid[(1.0 / grid <= p.C) & (grid <= p.D)]
     if xs.size == 0 or ys.size == 0:
@@ -135,16 +149,10 @@ def ww_pair_exists(p, points=600, refine=True):
     ok = (t1 >= 0) & (t2 >= 0)
     if np.any(ok):
         return True
-    if not refine:
-        return False
     # refine around the least-infeasible grid point
     score = np.minimum(t1, t2)
     i, j = np.unravel_index(np.argmax(score), score.shape)
-    for x in np.geomspace(xs[i] / 1.05, xs[i] * 1.05, 80):
-        for y in np.geomspace(ys[j] / 1.05, ys[j] * 1.05, 80):
-            if _ww_pair_feasible(p, x, y):
-                return True
-    return False
+    return _refine_window(feasible, xs[i], ys[j]) is not None
 
 
 def multimode_symmetric_full_sep(p):
@@ -239,7 +247,7 @@ def refined_ww_check(gamma, *locals_, det_tol=1e-6, psd_tol=1e-9):
     return bool(w[0] >= -psd_tol)
 
 
-def refined_ww_search(sf, points=600):
+def refined_ww_search(sf):
     """Search for a pure-product certificate for a two-mode standard form.
 
     Tries gamma_A = diag(1/x, x), gamma_B = diag(y, 1/y) over a logarithmic
@@ -251,15 +259,15 @@ def refined_ww_search(sf, points=600):
         t1 = (sf.a - 1.0 / x) * (sf.b - y) - sf.c1 * sf.c1
         t2 = (sf.a - x) * (sf.b - 1.0 / y) - sf.c2 * sf.c2
         return (
-            sf.a - 1.0 / x >= 0
-            and sf.b - y >= 0
-            and sf.a - x >= 0
-            and sf.b - 1.0 / y >= 0
-            and t1 >= 0
-            and t2 >= 0
+            (sf.a - 1.0 / x >= 0)
+            & (sf.b - y >= 0)
+            & (sf.a - x >= 0)
+            & (sf.b - 1.0 / y >= 0)
+            & (t1 >= 0)
+            & (t2 >= 0)
         )
 
-    grid = np.logspace(-3.0, 3.0, points)
+    grid = np.logspace(-3.0, 3.0, 600)
     xs = grid[(grid <= sf.a) & (1.0 / grid <= sf.a)]
     ys = grid[(grid <= sf.b) & (1.0 / grid <= sf.b)]
     if xs.size == 0 or ys.size == 0:
@@ -271,11 +279,7 @@ def refined_ww_search(sf, points=600):
     i, j = np.unravel_index(np.argmax(score), score.shape)
     if score[i, j] >= 0:
         return float(xs[i]), float(ys[j])
-    for x in np.geomspace(xs[i] / 1.05, xs[i] * 1.05, 80):
-        for y in np.geomspace(ys[j] / 1.05, ys[j] * 1.05, 80):
-            if feasible(x, y):
-                return float(x), float(y)
-    return None
+    return _refine_window(feasible, xs[i], ys[j])
 
 
 def certificate_cms(x, y):

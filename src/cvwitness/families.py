@@ -15,13 +15,6 @@ def squeezed_thermal_cm(a, b, c):
     return g
 
 
-def symmetric_two_mode_cm(a, c1, c2):
-    g = np.diag([a, a, a, a]).astype(float)
-    g[0, 2] = g[2, 0] = c1
-    g[1, 3] = g[3, 1] = -c2
-    return g
-
-
 def symmetric_squeezed_thermal(n_th, r):
     """Symmetric two-mode squeezed thermal state with thermal number n_th."""
     nu = 2.0 * n_th + 1.0

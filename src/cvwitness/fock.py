@@ -6,13 +6,13 @@ couplings (coefficients N1..N4). The module also hosts the alternating
 product-state maximization and the randomized sweep harness.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import SingularMatrix, StationarityViolated
-from .symplectic import _ccm_matrix
+from .symplectic import _ccm_matrix, gaussian_taylor
 from .witness import PositivityMode, SixParamDetect, detect_determinant, lambda_product_vacuum
 
 _SIGMA1_I2 = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
@@ -145,10 +145,12 @@ def _summation_terms(g, cutoff):
 
     Yields (k1, k2, m1, m2, weight) arrays where weight is the term of the
     normalized sum: N-powers times sqrt(k1! k2! m1! m2!)/(k! l! m! n! i! j!).
+    Only m0_eval uses it, which keeps M0 independent of the recursive
+    kernel behind fock_elements.
     """
     idx = np.arange(cutoff)
     kk, ll, mm, nn = [a.ravel() for a in np.meshgrid(idx, idx, idx, idx, indexing="ij")]
-    lg = gammaln(np.arange(2 * cutoff + 1) + 1.0)
+    lg = np.array([math.lgamma(k + 1.0) for k in range(2 * cutoff + 1)])
     out = []
     for i in range(cutoff):
         for j in range(cutoff):
@@ -180,30 +182,16 @@ def fock_elements(d, cutoff):
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     g = generating_coeffs(d)
-    tensor = np.zeros((cutoff,) * 4)
-    for k1, k2, m1, m2, w in _summation_terms(g, cutoff):
-        np.add.at(tensor, (k1, k2, m1, m2), w)
-    tensor *= g.sqrt_det_beta
+    tensor = gaussian_taylor(coeff_matrix(g), (cutoff - 1,) * 4) * g.sqrt_det_beta
     return FockOperator(tensor=tensor, cutoff=cutoff, sqrt_det_beta=g.sqrt_det_beta)
 
 
 def fock_trace(d, cutoff):
     """Fock-basis trace of the detect operator up to the cutoff.
 
-    Diagonal terms force m = n and i = j, so only four indices remain;
-    the full trace is 1 (the characteristic function at the origin).
+    The full trace is 1 (the characteristic function at the origin).
     """
-    g = generating_coeffs(d)
-    idx = np.arange(cutoff)
-    ii, kk, ll, mm = [a.ravel() for a in np.meshgrid(idx, idx, idx, idx, indexing="ij")]
-    k1 = kk + mm + ii
-    k2 = ll + mm + ii
-    sel = (k1 < cutoff) & (k2 < cutoff)
-    ii, kk, ll, mm, k1, k2 = ii[sel], kk[sel], ll[sel], mm[sel], k1[sel], k2[sel]
-    lg = gammaln(np.arange(2 * cutoff + 1) + 1.0)
-    log_w = lg[k1] + lg[k2] - (lg[kk] + lg[ll] + 2.0 * lg[mm] + 2.0 * lg[ii])
-    w = g.n1 ** (2 * ii) * g.n2**kk * g.n3 ** (2 * mm) * g.n4**ll * np.exp(log_w)
-    return float(g.sqrt_det_beta * np.sum(w))
+    return float(np.einsum("ijij->", fock_elements(d, cutoff).tensor))
 
 
 def m0_eval(g, psi, truncation=None):

@@ -4,19 +4,21 @@ The state is rho = N a^dagger^k a^m rho_G a^dagger^m a^k built on a
 Gaussian kernel rho_G. Traces against a Gaussian operator reduce to
 Taylor coefficients of quadratic-form exponentials in four groups of
 formal variables (eps, xi, eta, zeta), one entry per mode; the
-coefficients are extracted exactly by polynomial expansion.
+coefficients come from the recursive table of symplectic.gaussian_taylor.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import criteria
 from .errors import SingularSum, UnclassifiedKernel, UnsupportedOrder
-from .symplectic import CovarianceMatrix, _ccm_matrix, validate_cm
+from .symplectic import CovarianceMatrix, _ccm_matrix, gaussian_taylor, validate_cm
 from .witness import OptimFailure
 from . import witness
+
+# largest Taylor table, prod(alpha_i + 1) entries, a trace may allocate
+MAX_TABLE_SIZE = 2**22
 
 
 @dataclass(frozen=True)
@@ -44,14 +46,6 @@ class NGPASGSpec:
         return int(sum(self.adds) + sum(self.subs))
 
 
-@dataclass(frozen=True)
-class QEvaluation:
-    gamma_plus: np.ndarray
-    gamma_minus: np.ndarray
-    f_value: complex
-    chi_q: complex
-
-
 def _sigma1_in(n):
     return np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(n))
 
@@ -74,7 +68,7 @@ def _a0_matrix(gamma_g):
     gm = ccm - _sigma1_in(n)
     p, q = _pq_maps(n)
     a0 = -0.5 * (p.T @ gp @ p + q.T @ gm @ q + p.T @ gm @ q + q.T @ gm @ p)
-    return 0.5 * (a0 + a0.T), gp, gm
+    return 0.5 * (a0 + a0.T)
 
 
 def _af_matrix(gamma_g, gamma_m):
@@ -95,70 +89,12 @@ def _af_matrix(gamma_g, gamma_m):
 
 def q_char_zero(gamma_g, eps, xi, eta, zeta):
     """Characteristic function of the Q generating operator at z = 0."""
-    a0, _, _ = _a0_matrix(gamma_g)
+    a0 = _a0_matrix(gamma_g)
     v = np.concatenate([np.asarray(x, float) for x in (eps, xi, eta, zeta)])
     val = np.exp(0.5 * v @ a0 @ v)
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise ArithmeticError("characteristic function has unexpected imaginary part")
     return float(val.real)
-
-
-def q_evaluation(gamma_g, gamma_m, eps, xi, eta, zeta):
-    """Full evaluation record: the shifted CCMs, the f correction and chi_Q(0)."""
-    a0, gp, gm = _a0_matrix(gamma_g)
-    af = _af_matrix(gamma_g, gamma_m)
-    v = np.concatenate([np.asarray(x, float) for x in (eps, xi, eta, zeta)])
-    return QEvaluation(
-        gamma_plus=gp,
-        gamma_minus=gm,
-        f_value=complex(0.5 * v @ af @ v),
-        chi_q=complex(np.exp(0.5 * v @ a0 @ v)),
-    )
-
-
-def _quad_coefficient(a, alpha):
-    """alpha! times the v^alpha Taylor coefficient of exp(v a v / 2).
-
-    The exponent is quadratic, so only its (|alpha|/2)-th power contributes;
-    that power is expanded as an exact multivariate polynomial with
-    per-variable exponent caps taken from alpha.
-    """
-    alpha = tuple(int(x) for x in alpha)
-    total = sum(alpha)
-    if total == 0:
-        return 1.0 + 0.0j
-    if total % 2 == 1:
-        return 0.0 + 0.0j
-    nvar = len(alpha)
-    terms = []
-    for i in range(nvar):
-        for j in range(i, nvar):
-            coef = 0.5 * a[i, i] if i == j else complex(a[i, j])
-            if coef == 0:
-                continue
-            mono = [0] * nvar
-            mono[i] += 1
-            mono[j] += 1
-            if any(m > c for m, c in zip(mono, alpha)):
-                continue
-            terms.append((tuple(mono), complex(coef)))
-    poly = {(0,) * nvar: 1.0 + 0.0j}
-    for _ in range(total // 2):
-        new = {}
-        for mono, c in poly.items():
-            for tmono, tc in terms:
-                combined = tuple(m + t for m, t in zip(mono, tmono))
-                if any(m > cap for m, cap in zip(combined, alpha)):
-                    continue
-                new[combined] = new.get(combined, 0.0) + c * tc
-        poly = new
-        if not poly:
-            return 0.0 + 0.0j
-    coeff = poly.get(alpha, 0.0 + 0.0j)
-    fact_alpha = 1.0
-    for x in alpha:
-        fact_alpha *= math.factorial(x)
-    return coeff * fact_alpha / math.factorial(total // 2)
 
 
 def _count_alpha(s):
@@ -170,8 +106,11 @@ def _count_alpha(s):
 
 def ngpasg_trace_finite(s, gamma_m):
     """Tr(rho M) for a photon-added/subtracted state against a Gaussian operator."""
-    if any(c > 2 for c in (*s.adds, *s.subs)):
-        raise UnsupportedOrder("photon counts above 2 per mode are not supported")
+    alpha = _count_alpha(s)
+    if np.prod(np.add(alpha, 1.0)) > MAX_TABLE_SIZE:
+        raise UnsupportedOrder(
+            f"photon counts need a Taylor table above {MAX_TABLE_SIZE} entries"
+        )
     g = s.kernel.entries
     m = gamma_m.entries if isinstance(gamma_m, CovarianceMatrix) else np.asarray(gamma_m, float)
     n = s.n
@@ -181,11 +120,11 @@ def ngpasg_trace_finite(s, gamma_m):
     overlap = 2.0**n / np.sqrt(abs(det))
     if s.total_order == 0:
         return float(overlap)
-    alpha = _count_alpha(s)
-    a0, _, _ = _a0_matrix(g)
+    a0 = _a0_matrix(g)
     af = _af_matrix(g, m)
-    numer = _quad_coefficient(a0 + af, alpha)
-    denom = _quad_coefficient(a0, alpha)
+    # both coefficients carry the same 1/sqrt(alpha!), which cancels
+    numer = gaussian_taylor(a0 + af, alpha)[alpha]
+    denom = gaussian_taylor(a0, alpha)[alpha]
     if abs(denom) < 1e-300:
         raise SingularSum("normalization coefficient vanishes")
     ratio = numer / denom

@@ -227,6 +227,37 @@ def _ccm_matrix(entries):
     return np.block([[b11, b12], [b21, b22]])
 
 
+def gaussian_taylor(g, caps):
+    """Normalized Taylor coefficients of exp(v^T g v / 2) at v = 0.
+
+    Returns the table T[a] = d^a exp(v^T g v / 2)|_0 / sqrt(a!) for every
+    multi-index 0 <= a_i <= caps[i]; g is symmetric, real or complex. The
+    table is filled one axis at a time by the recurrence
+    T(a + e_i) = [sum_j g_ij sqrt(a_j) T(a - e_j)] / sqrt(a_i + 1)
+    (Miatto & Quesada, Quantum 4, 366 (2020)); while axis i is filled every
+    later axis is still at 0, so only j <= i contribute.
+    """
+    g = np.asarray(g)
+    caps = tuple(int(c) for c in caps)
+    n = len(caps)
+    t = np.zeros(tuple(c + 1 for c in caps), dtype=np.result_type(g.dtype, float))
+    t[(0,) * n] = 1.0
+    root = np.sqrt(np.arange(max(caps, default=0) + 1.0))
+    for i in range(n):
+        block = t[(slice(None),) * (i + 1) + (0,) * (n - i - 1)]
+        for s in range(caps[i]):
+            cur, nxt = block[..., s], block[..., s + 1]
+            if s:
+                nxt += g[i, i] * root[s] * block[..., s - 1]
+            for j in range(i):
+                lower = (slice(None),) * j + (slice(None, -1),)
+                upper = (slice(None),) * j + (slice(1, None),)
+                w = root[1 : caps[j] + 1].reshape((-1,) + (1,) * (i - j - 1))
+                nxt[upper] += g[i, j] * w * cur[lower]
+            nxt /= root[s + 1]
+    return t
+
+
 def from_complex_cm(ccm):
     """Invert :func:`to_complex_cm`."""
     m = ccm.matrix

@@ -110,18 +110,19 @@ def test_m0_vacuum_is_one():
 
 def test_m0_cross_path():
     rng = np.random.default_rng(100)
-    for seed in range(10):
-        d = fock.random_detect_operator(seed)
-        g = fock.generating_coeffs(d)
-        op = fock.fock_elements(d, 6)
-        a = fock.random_state_vector(rng, 6)
-        b = fock.random_state_vector(rng, 6)
-        psi = ProductStateVec(a=a, b=b)
-        via_sum = fock.m0_eval(g, psi)
-        via_tensor = np.real(
-            np.einsum("abkl,a,b,k,l->", op.tensor, np.conj(a), np.conj(b), a, b)
-        ) / op.sqrt_det_beta
-        assert via_sum == pytest.approx(via_tensor, abs=1e-8)
+    for cutoff in (6, 10):
+        for seed in range(10):
+            d = fock.random_detect_operator(seed)
+            g = fock.generating_coeffs(d)
+            op = fock.fock_elements(d, cutoff)
+            a = fock.random_state_vector(rng, cutoff)
+            b = fock.random_state_vector(rng, cutoff)
+            psi = ProductStateVec(a=a, b=b)
+            via_sum = fock.m0_eval(g, psi)
+            via_tensor = np.real(
+                np.einsum("abkl,a,b,k,l->", op.tensor, np.conj(a), np.conj(b), a, b)
+            ) / op.sqrt_det_beta
+            assert via_sum == pytest.approx(via_tensor, abs=1e-8)
 
 
 def test_m0_cutoff_convergence():

@@ -40,14 +40,6 @@ def test_q_char_zero_at_origin():
     assert nongaussian.q_char_zero(g, z, z, z, z) == pytest.approx(1.0)
 
 
-def test_q_evaluation_zero_arguments():
-    g = validate_cm(families.squeezed_thermal_cm(1.5, 1.5, 0.4))
-    z = np.zeros(2)
-    ev = nongaussian.q_evaluation(g, np.eye(4), z, z, z, z)
-    assert ev.chi_q == pytest.approx(1.0)
-    assert ev.f_value == pytest.approx(0.0)
-
-
 def test_q_char_vacuum_kernel_single_mode():
     # vacuum CCM is sigma1, so the (eps, -zeta) form with eps=(t) gives
     # exponent -[t 0] (sigma1 + sigma1) [t 0]^T / 4 = 0
@@ -69,11 +61,19 @@ def test_zero_counts_reduce_to_gaussian_overlap():
     )
 
 
-def test_unsupported_order():
+def test_unsupported_order(monkeypatch):
+    # the bound is on the Taylor table, prod(alpha_i + 1) entries with
+    # alpha = (k, m, m, k); it must be enforced before any table is built
+    def no_table(*args):
+        raise AssertionError("table allocated past the size bound")
+
+    monkeypatch.setattr(nongaussian, "gaussian_taylor", no_table)
     g = validate_cm(np.eye(2))
-    s = NGPASGSpec(kernel=g, adds=(3,), subs=(0,))
-    with pytest.raises(UnsupportedOrder):
-        nongaussian.ngpasg_trace_finite(s, np.eye(2))
+    assert 2049**2 > nongaussian.MAX_TABLE_SIZE
+    for adds, subs in [((2000,), (2000,)), ((2048,), (0,))]:
+        s = NGPASGSpec(kernel=g, adds=adds, subs=subs)
+        with pytest.raises(UnsupportedOrder):
+            nongaussian.ngpasg_trace_finite(s, np.eye(2))
 
 
 def test_single_mode_against_fock_oracle():
@@ -86,7 +86,8 @@ def test_single_mode_against_fock_oracle():
         rho_g = single_mode_gaussian_rho(gam, cut)
         m_op = single_mode_gaussian_rho(gm, cut)
         spec_cm = validate_cm(gam)
-        for k, m in [(1, 0), (0, 1), (1, 1), (2, 0), (2, 2)]:
+        for k, m in [(1, 0), (0, 1), (1, 1), (2, 0), (2, 2),
+                     (3, 0), (0, 3), (3, 2), (3, 3), (4, 1), (4, 4)]:
             rho = added_subtracted_rho(rho_g, k, m, cut)
             brute = float(np.real(np.trace(rho @ m_op)))
             s = NGPASGSpec(kernel=spec_cm, adds=(k,), subs=(m,))
