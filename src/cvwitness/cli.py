@@ -350,29 +350,30 @@ def _parse_schedule(text):
         raise argparse.ArgumentTypeError("schedule must be comma-separated numbers")
 
 
+_FLAG_TYPES = {"seed": int, "cutoff": int, "samples": int, "schedule": _parse_schedule}
+
+# each subcommand declares only the flags its handler reads
+_COMMANDS = {
+    "check-gaussian": (cmd_check_gaussian, ("input", "output")),
+    "check-nongaussian": (cmd_check_nongaussian, ("input", "output", "schedule")),
+    "witness-optimize": (cmd_witness_optimize, ("input", "output")),
+    "kernel-spectrum": (cmd_kernel_spectrum, ("input", "output", "cutoff")),
+    "fock-iterate": (cmd_fock_iterate, ("seed", "cutoff", "output")),
+    "sweep-fig1": (cmd_sweep_fig1, ("seed", "output", "samples", "cutoff")),
+    "sweep-fig2": (cmd_sweep_fig2, ("input", "output")),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cvwitness",
         description="entanglement criteria for Gaussian and photon-added states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "check-gaussian": cmd_check_gaussian,
-        "check-nongaussian": cmd_check_nongaussian,
-        "witness-optimize": cmd_witness_optimize,
-        "kernel-spectrum": cmd_kernel_spectrum,
-        "fock-iterate": cmd_fock_iterate,
-        "sweep-fig1": cmd_sweep_fig1,
-        "sweep-fig2": cmd_sweep_fig2,
-    }
-    for name, handler in handlers.items():
+    for name, (handler, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--input")
-        p.add_argument("--output")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--cutoff", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--schedule", type=_parse_schedule)
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=_FLAG_TYPES.get(flag))
         p.set_defaults(handler=handler)
     return parser
 

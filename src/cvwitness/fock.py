@@ -2,12 +2,12 @@
 
 Matrix elements come from a four-variable generating function whose
 exponent, after pre-squeezing to the stationary (x, y), has only cross
-couplings (coefficients N1..N4). The module also hosts the alternating
-product-state maximization and the randomized sweep harness.
+couplings. The module also hosts the alternating product-state
+maximization and the randomized sweep harness.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,13 +133,6 @@ def generating_coeffs(d, x=None, y=None):
     )
 
 
-def coeff_matrix(g):
-    """The assembled generating matrix with the cross-coupling structure."""
-    off = np.array([[g.n2, g.n3], [g.n3, g.n4]])
-    diag = np.array([[0.0, g.n1], [g.n1, 0.0]])
-    return np.block([[diag, off], [off, diag]])
-
-
 def _summation_terms(g, cutoff):
     """All six-index summation terms below the cutoff.
 
@@ -181,9 +174,9 @@ def fock_elements(d, cutoff):
     """Matrix-element tensor of the pre-squeezed detect operator."""
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    g = generating_coeffs(d)
-    tensor = gaussian_taylor(coeff_matrix(g), (cutoff - 1,) * 4) * g.sqrt_det_beta
-    return FockOperator(tensor=tensor, cutoff=cutoff, sqrt_det_beta=g.sqrt_det_beta)
+    beta, sqrt_det_beta = beta_fock(d, *lambda_product_vacuum(d)[1:])
+    tensor = gaussian_taylor(beta + _SIGMA1_I2, (cutoff - 1,) * 4) * sqrt_det_beta
+    return FockOperator(tensor=tensor, cutoff=cutoff, sqrt_det_beta=sqrt_det_beta)
 
 
 def fock_trace(d, cutoff):

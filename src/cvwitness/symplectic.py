@@ -5,10 +5,9 @@ covariance matrix is the identity, and a matrix gamma is physical iff
 gamma + i*sigma >= 0 with sigma the block-diagonal symplectic form.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateBlock,
@@ -172,9 +171,10 @@ def _local_symplectic_to_scalar(block):
     d = float(np.linalg.det(block))
     if d <= 1e-12:
         raise DegenerateBlock("singular 2x2 diagonal block")
-    a = np.sqrt(d)
-    m = scipy.linalg.sqrtm(block / a).real
-    return np.linalg.inv(m)
+    # B = block / sqrt(d) has det 1, so B^(-1/2) = (adj(B) + I) / sqrt(tr B + 2)
+    b = block / np.sqrt(d)
+    adj = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]])
+    return (adj + np.eye(2)) / np.sqrt(np.trace(b) + 2.0)
 
 
 def standard_form(cm):

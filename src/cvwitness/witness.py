@@ -10,10 +10,12 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from .errors import NoConvergence, NotPhysical, OptimFailure, SingularGamma2
 from .symplectic import CovarianceMatrix, standard_form, symplectic_form
+
+_EPS = np.finfo(float).eps
 
 
 class PositivityMode(enum.Enum):
@@ -144,61 +146,50 @@ def stationarity_residuals(d, x, y):
     return float(r1), float(r2)
 
 
-def _grid_min(d, points=61):
-    grid = np.logspace(-3.0, 3.0, points)
-    xg, yg = np.meshgrid(grid, grid, indexing="ij")
-    vals = detect_determinant(d, xg, yg)
-    i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    return float(grid[i]), float(grid[j]), float(vals[i, j])
-
-
-def _newton_refine(d, x, y, max_iter=60):
-    """Safeguarded Newton on the stationarity system; falls back by halving steps."""
-    val = detect_determinant(d, x, y)
-    for _ in range(max_iter):
-        r1, r2 = stationarity_residuals(d, x, y)
-        hx = 1e-7 * max(x, 1.0)
-        hy = 1e-7 * max(y, 1.0)
-        j11 = (stationarity_residuals(d, x + hx, y)[0] - r1) / hx
-        j12 = (stationarity_residuals(d, x, y + hy)[0] - r1) / hy
-        j21 = (stationarity_residuals(d, x + hx, y)[1] - r2) / hx
-        j22 = (stationarity_residuals(d, x, y + hy)[1] - r2) / hy
-        det_j = j11 * j22 - j12 * j21
-        if abs(det_j) < 1e-300:
-            break
-        dx = -(j22 * r1 - j12 * r2) / det_j
-        dy = -(-j21 * r1 + j11 * r2) / det_j
-        step = 1.0
-        while step > 1e-6:
-            xn, yn = x + step * dx, y + step * dy
-            if xn > 0 and yn > 0:
-                vn = detect_determinant(d, xn, yn)
-                if vn <= val + 1e-15 * abs(val):
-                    x, y, val = xn, yn, vn
-                    break
-            step *= 0.5
-        else:
-            break
-        if abs(r1) + abs(r2) < 1e-12 * (1.0 + abs(val)):
-            break
-    return x, y, val
+def _bracket_end(slope, t, direction):
+    """Step t outward in doubling steps until slope(t) has the sign of direction."""
+    step = 1.0
+    while not direction * slope(t) > 0.0:
+        if step > 256.0:
+            raise OptimFailure("determinant minimum is not attained at finite y")
+        t += direction * step
+        step *= 2.0
+    return t
 
 
 def lambda_product_vacuum(d):
     """Maximal mean of the detect operator over product states (vacuum optimum).
 
-    Minimizes det(gamma_M + diag(x, 1/x, y, 1/y)) over x, y > 0 by grid
-    initialization plus safeguarded Newton; returns (Lambda, x*, y*).
+    Minimizes det(gamma_M + diag(x, 1/x, y, 1/y)) over x, y > 0: x in closed
+    form, then t = log y as the root of the slope of a sum of two functions
+    convex in t (Brent's method, bracketed by their own minimizers);
+    returns (Lambda, x*, y*). Raises OptimFailure when the minimum is only
+    approached at the edge (x or y -> 0 or infinity).
     """
-    x0, y0, v0 = _grid_min(d)
-    x, y, val = _newton_refine(d, x0, y0)
-    if val > v0 * (1.0 + 1e-6):
+    # det = (alpha*x + beta)(gamma/x + delta) is least at x* below, where it is
+    # (sqrt(alpha*gamma) + sqrt(beta*delta))^2; both products read c + a*y + b/y,
+    # and a constant one drops out of the slope
+    p, q = d.m1 * d.m3 - d.m5**2, d.m2 * d.m4 - d.m6**2
+    terms = [(d.m4, d.m3, d.m3 * d.m4 + 1.0), (d.m1 * q, d.m2 * p, p * q + d.m1 * d.m2)]
+    terms = [(a, b, c) for a, b, c in terms if a or b]
+
+    def slope(t):
+        y = np.exp(t)
+        return sum((a * y - b / y) / np.sqrt(c + a * y + b / y) for a, b, c in terms)
+
+    mins = [0.5 * np.log(b / a) for a, b, _ in terms if a > 0 and b > 0]
+    lo = _bracket_end(slope, min(mins, default=0.0) - 1.0, -1.0)
+    hi = _bracket_end(slope, max(mins, default=0.0) + 1.0, 1.0)
+    y = np.exp(brentq(slope, lo, hi, xtol=_EPS, rtol=4.0 * _EPS))
+    alpha, gamma = d.m3 + y, d.m4 + 1.0 / y
+    beta, delta = d.m1 * alpha - d.m5**2, d.m2 * gamma - d.m6**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.sqrt(beta * gamma / (alpha * delta))
+    if not (0.0 < x < np.inf and 0.0 < y < np.inf):
         raise OptimFailure(
-            f"Newton minimum {val!r} disagrees with grid minimum {v0!r}"
+            f"determinant minimum is not attained (x = {float(x)!r}, y = {float(y)!r})"
         )
-    if val <= 0:
-        raise OptimFailure("determinant minimum is not positive")
-    lam = 4.0 / np.sqrt(val)
+    lam = 4.0 / np.sqrt(detect_determinant(d, x, y))
     return float(lam), float(x), float(y)
 
 

@@ -153,6 +153,13 @@ def test_fock_iterate_requires_seed(capsys):
     assert cli.main(["fock-iterate"]) == 1
 
 
+def test_subcommands_reject_flags_they_do_not_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check-gaussian", "--samples", "3"])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_sweep_fig1_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -63,7 +63,10 @@ def test_generating_matrix_matches_beta():
         d = fock.random_detect_operator(seed)
         g = fock.generating_coeffs(d)
         beta, _ = fock.beta_fock(d, g.x, g.y)
-        assert np.max(np.abs(fock.coeff_matrix(g) - (SIGMA1_I2 + beta))) < 1e-9
+        gm = beta + SIGMA1_I2
+        assert np.max(np.abs(np.diag(gm))) < 1e-12
+        for n, (i, j) in zip((g.n1, g.n2, g.n3, g.n4), ((0, 1), (0, 2), (0, 3), (1, 3))):
+            assert n == pytest.approx(gm[i, j], abs=1e-12)
 
 
 def test_generating_coeffs_rejects_nonstationary_point():

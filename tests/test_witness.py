@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from cvwitness import families, witness
-from cvwitness.errors import NotPhysical, SingularGamma2
+from cvwitness import families, fock, witness
+from cvwitness.errors import NotPhysical, OptimFailure, SingularGamma2
 from cvwitness.symplectic import validate_cm
 from cvwitness.witness import PositivityMode, SixParamDetect
 
@@ -108,8 +110,95 @@ def test_stationarity_holds_at_optimum():
         val, x, y = witness.lambda_product_vacuum(d)
         r1, r2 = witness.stationarity_residuals(d, x, y)
         scale = witness.detect_determinant(d, x, y)
-        assert abs(r1) < 1e-6 * scale
-        assert abs(r2) < 1e-6 * scale
+        assert abs(r1) < 1e-12 * scale
+        assert abs(r2) < 1e-12 * scale
+
+
+def grid_determinants(d, xs, ys):
+    """np.linalg.det(gamma_M + diag(x, 1/x, y, 1/y)) over the grid xs x ys."""
+    xg, yg = [a.ravel() for a in np.meshgrid(xs, ys, indexing="ij")]
+    m = np.zeros((xg.size, 4, 4)) + d.cm()
+    m[:, 0, 0] += xg
+    m[:, 1, 1] += 1.0 / xg
+    m[:, 2, 2] += yg
+    m[:, 3, 3] += 1.0 / yg
+    return np.linalg.det(m), xg, yg
+
+
+def exact_determinant(d, x, y):
+    """det(gamma_M + diag(x, 1/x, y, 1/y)) in rational arithmetic, by elimination."""
+    m = [[Fraction(float(v)) for v in row] for row in d.cm()]
+    for i, v in enumerate((Fraction(x), 1 / Fraction(x), Fraction(y), 1 / Fraction(y))):
+        m[i][i] += v
+    det = Fraction(1)
+    for k in range(4):
+        p = next(i for i in range(k, 4) if m[i][k] != 0)
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, 4):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def test_lambda_is_grid_minimum():
+    ops = [fock.random_detect_operator(seed) for seed in range(150)]
+    for m1 in (1e2, 1e3, 1e4):
+        u_max = np.sqrt(m1 / (m1 + 1.0)) * (1.0 - 1e-9)
+        ops += [witness._schedule_detect(m1, u_max * (1.0 - f))
+                for f in np.geomspace(1e-9, 0.5, 17)]
+    wide = np.logspace(-4.0, 4.0, 121)
+    near = np.geomspace(0.98, 1.02, 41)
+    for d in ops:
+        lam, x, y = witness.lambda_product_vacuum(d)
+        vmin = 16.0 / lam**2
+        for xs, ys in ((wide, wide), (x * near, y * near)):
+            vals, xg, yg = grid_determinants(d, xs, ys)
+            low = vals < vmin * (1.0 - 1e-12)
+            # On near-singular schedule operators both float determinants round
+            # at the 1e-12 level; settle a point below the bound exactly.
+            for xi, yi in zip(xg[low], yg[low]):
+                assert exact_determinant(d, xi, yi) >= exact_determinant(d, x, y) * (
+                    1 - Fraction(1, 10**12)
+                )
+
+
+@pytest.mark.parametrize("params, lam, xy", [
+    ((1.0, 1.0, 1.0, 1.0, 1.0, 1.0), 4.0 / 3.0, 1.0),
+    ((1.0, 1.0, 1.0, 1.0, 1.0, 0.0), None, 0.5 * (np.sqrt(5.0) - 1.0)),
+])
+def test_lambda_singular_sector_block(params, lam, xy):
+    d = SixParamDetect(*params, PositivityMode.OPERATOR_PSD)
+    got, x, y = witness.lambda_product_vacuum(d)
+    if lam is not None:
+        assert got == pytest.approx(lam, rel=1e-12)
+    assert x == pytest.approx(xy, rel=1e-12)
+    assert y == pytest.approx(xy, rel=1e-12)
+    r1, r2 = witness.stationarity_residuals(d, x, y)
+    assert max(abs(r1), abs(r2)) < 1e-12 * witness.detect_determinant(d, x, y)
+
+
+def test_lambda_bracket_widens_both_ways():
+    # a singular p-sector block leaves a y-term that only decreases, so the
+    # root lies past max + 1; its x <-> p mirror image puts it below min - 1
+    d = SixParamDetect(1.0, 100.0, 1.0, 1.0, 0.0, 10.0, PositivityMode.OPERATOR_PSD)
+    mirror = SixParamDetect(100.0, 1.0, 1.0, 1.0, 10.0, 0.0, PositivityMode.OPERATOR_PSD)
+    lam, x, y = witness.lambda_product_vacuum(d)
+    lam_m, x_m, y_m = witness.lambda_product_vacuum(mirror)
+    assert (lam_m, x_m, y_m) == pytest.approx((lam, 1.0 / x, 1.0 / y), rel=1e-12)
+    for op, xo, yo in ((d, x, y), (mirror, x_m, y_m)):
+        r1, r2 = witness.stationarity_residuals(op, xo, yo)
+        assert max(abs(r1), abs(r2)) < 1e-12 * witness.detect_determinant(op, xo, yo)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lambda_unattained_minimum_raises():
+    # zero M1: the determinant only approaches its infimum as x -> 0
+    d = SixParamDetect(0.0, 1.0, 1.0, 1.0, 0.0, 0.0, PositivityMode.OPERATOR_PSD)
+    with pytest.raises(OptimFailure):
+        witness.lambda_product_vacuum(d)
 
 
 def test_lambda_vacuum_detect():
