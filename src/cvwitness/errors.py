@@ -67,10 +67,6 @@ class UnsupportedOrder(CVWitnessError):
     pass
 
 
-class UnclassifiedKernel(CVWitnessError):
-    pass
-
-
 class NegativeC(CVWitnessError):
     pass
 

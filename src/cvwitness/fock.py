@@ -324,12 +324,15 @@ def sweep_fig1(samples, cutoff=6, seed=0, max_rounds=100):
     """Randomized product-state sweep over random detect operators.
 
     For each sample: draw a detect operator and a random unit vector for
-    mode 2 (a vacuum-biased mixture so the photon-number axis is covered),
-    maximize mode 1 exactly, and record the pair's photon number and M0.
-    The iteration is then continued to convergence for the round counts.
+    mode 2 (a vacuum-biased mixture so the photon-number axis is covered)
+    and run the alternating maximization from it; its first round maximizes
+    mode 1 exactly, and the row records that pair's photon number and M0
+    with the rounds the iteration took to converge.
     Returns (rows, failures) where failures holds any vacuum-optimality
     counterexamples (M0 > 1 beyond tolerance).
     """
+    if max_rounds < 1:
+        raise ValueError("each sample needs at least one maximization round")
     rows = []
     failures = []
     for s in range(samples):
@@ -341,13 +344,8 @@ def sweep_fig1(samples, cutoff=6, seed=0, max_rounds=100):
         b[0] = 1.0
         noise = rng.normal(size=cutoff) + 1j * rng.normal(size=cutoff)
         b = b + tau * noise / np.linalg.norm(noise)
-        b = b / np.linalg.norm(b)
-        mat = conditional_matrix(op, b, mode=2)
-        w, vecs = np.linalg.eigh(mat)
-        a = vecs[:, -1]
-        m0 = float(w[-1]) / op.sqrt_det_beta
-        avg_photon = 0.5 * (mean_photon(a) + mean_photon(b))
         res = alternate_maximize(op, initial=b, max_rounds=max_rounds)
+        m0, avg_photon = res.m0_trace[0], res.photon_trace[0]
         rows.append(SweepRow(seed=s, avg_photon=avg_photon, m0=m0,
                              rounds=res.rounds, converged=res.converged))
         if m0 > 1.0 + 1e-6:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria
-from .errors import SingularSum, UnclassifiedKernel, UnsupportedOrder
-from .symplectic import CovarianceMatrix, _ccm_matrix, gaussian_taylor, validate_cm
-from .witness import OptimFailure
+from .errors import SingularSum, UnsupportedOrder
+from .symplectic import (CovarianceMatrix, _ccm_matrix, gaussian_taylor, standard_form,
+                         validate_cm)
 from . import witness
 
 # largest Taylor table, prod(alpha_i + 1) entries, a trace may allocate
@@ -152,19 +152,12 @@ def kernel_verdict(gamma, tol=1e-9):
     cm = gamma if isinstance(gamma, CovarianceMatrix) else validate_cm(gamma)
     if cm.n != 2:
         raise ValueError("kernel classification is defined for two-mode states")
-    from .symplectic import standard_form
-
     sf = standard_form(cm)
     if abs(sf.a - sf.b) <= tol * max(1.0, sf.a):
         return criteria.symmetric_two_mode(sf.a, sf.c1, sf.c2)
     if abs(sf.c1 - sf.c2) <= tol * max(1.0, sf.c1):
         return criteria.squeezed_thermal(sf.a, sf.b, sf.c1)
-    try:
-        lval, _ = witness.minimize_L(cm)
-    except OptimFailure as exc:
-        raise UnclassifiedKernel(
-            "kernel matches no closed-form family and the ratio bound failed"
-        ) from exc
+    lval, _ = witness.minimize_L(cm)
     return criteria.Verdict("determinant_ratio", float(lval - 1.0))
 
 

@@ -10,7 +10,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .errors import NoConvergence, NotPhysical, OptimFailure, SingularGamma2
 from .symplectic import CovarianceMatrix, standard_form, symplectic_form
@@ -42,14 +42,11 @@ class SixParamDetect:
 
     def __post_init__(self):
         g = self.cm()
-        if self.positivity is PositivityMode.OPERATOR_PSD:
-            w = np.linalg.eigvalsh(g)
-            if w[0] < -1e-9:
-                raise NotPhysical(w[0])
-        else:
-            w = np.linalg.eigvalsh(g + 1j * symplectic_form(2))
-            if w[0] < -1e-9:
-                raise NotPhysical(w[0])
+        if self.positivity is PositivityMode.QUANTUM_STATE:
+            g = g + 1j * symplectic_form(2)
+        w = np.linalg.eigvalsh(g)
+        if w[0] < -1e-9:
+            raise NotPhysical(w[0])
 
     def cm(self):
         g = np.diag([self.m1, self.m2, self.m3, self.m4]).astype(float)
@@ -217,30 +214,39 @@ def _schedule_detect(m1, u):
 def minimize_L(gamma):
     """Minimize the determinant ratio over the structured detect family.
 
-    Runs a large-parameter schedule plus the analytic infinite-parameter
-    limit (b+1)/2 - c^2/(2(a-1)); returns (L, best_detect) where
-    best_detect is None when the analytic limit wins.
+    Minimizes a large-parameter schedule exactly for each M1 and compares the
+    analytic infinite-parameter limit (b+1)/2 - c^2/(2(a-1)); returns
+    (L, best_detect) where best_detect is None when the analytic limit wins.
     """
     sf = standard_form(gamma) if isinstance(gamma, CovarianceMatrix) else gamma
     a, b = (sf.a, sf.b) if sf.a >= sf.b else (sf.b, sf.a)
     c = 0.5 * (sf.c1 + sf.c2)
+    g = gamma.entries if isinstance(gamma, CovarianceMatrix) else sf.to_cm()
+
+    def numerators(m1, us):
+        return np.linalg.det([g + _schedule_detect(m1, u).cm() for u in us])
+
     best_val = np.inf
     best_d = None
     for m1 in (1e2, 1e3, 1e4):
-        def ratio_of(u, m1=m1):
-            try:
-                return L_ratio(gamma if isinstance(gamma, CovarianceMatrix) else sf.to_cm(),
-                               _schedule_detect(m1, u))
-            except (OptimFailure, NotPhysical):
-                return np.inf
-
         # u above sqrt(M1/(M1+1)) makes the x-sector block of gamma_M indefinite
-        u_max = np.sqrt(m1 / (m1 + 1.0)) * (1.0 - 1e-9)
-        res = minimize_scalar(ratio_of, bounds=(1e-4, u_max), method="bounded",
-                              options={"xatol": 1e-6})
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_d = _schedule_detect(m1, float(res.x))
+        lo, hi = 1e-4, np.sqrt(m1 / (m1 + 1.0)) * (1.0 - 1e-9)
+        # The sector factors of det(gamma_M + diag(x, 1/x, y, 1/y)) are posynomials
+        # in (x, y), with constant term M1 - u^2 (M1+1) >= 0 up to hi, that trade
+        # places under (x, y) -> (1/x, 1/y); so the log-convex determinant is least
+        # at x = y = 1, where it is 4 (M1+1)^2 for every u.
+        denom = 4.0 * (m1 + 1.0) ** 2
+        # det(g + gamma_M) is a quartic in u, least at an end or a real stationary
+        # point: fit it through five nodes, ends included, and compare the nodes
+        # with every stationary point (complex ones clipped, as spare candidates).
+        nodes = np.linspace(lo, hi, 5)
+        dets = numerators(m1, nodes)
+        crit = np.clip(np.roots(np.polyder(np.polyfit(nodes, dets, 4))).real, lo, hi)
+        us = np.concatenate((nodes, crit))
+        vals = np.concatenate((dets, numerators(m1, crit))) / denom
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val, best_d = float(vals[i]), _schedule_detect(m1, float(us[i]))
     if a > 1.0:
         limit = 0.5 * (b + 1.0) - c * c / (2.0 * (a - 1.0))
         if limit < best_val:

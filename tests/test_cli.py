@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -171,6 +172,19 @@ def test_sweep_fig1_deterministic(tmp_path, capsys):
     lines = out1.read_text().splitlines()
     assert lines[0] == "seed,avg_photon,m0,rounds,converged"
     assert len(lines) == 9
+
+
+def test_sweep_csv_checksums(tmp_path, capsys):
+    # the reference CSVs that every change to the numbers must reproduce byte for byte
+    for argv, sha256 in (
+        (["sweep-fig1", "--seed", "42"],
+         "381ef159933e3740b86ec295a9e01ad3ba193a3fc29f81cb046ba4a3cbfb07b7"),
+        (["sweep-fig2"],
+         "ca154138fec03d187a08732b69c8a88c86498f5bc4c80ade68ea60febcbd65d1"),
+    ):
+        out = tmp_path / f"{argv[0]}.csv"
+        assert cli.main(argv + ["--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_sweep_fig2(tmp_path, capsys):

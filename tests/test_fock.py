@@ -227,3 +227,6 @@ def test_sweep_rows_and_determinism():
     for r in rows1:
         assert r.m0 <= 1.0 + 1e-6
     assert fail1 == []
+    # a row records the first round of the maximization, so there must be one
+    with pytest.raises(ValueError):
+        fock.sweep_fig1(1, max_rounds=0)

@@ -5,7 +5,7 @@ import pytest
 
 from cvwitness import families, fock, witness
 from cvwitness.errors import NotPhysical, OptimFailure, SingularGamma2
-from cvwitness.symplectic import validate_cm
+from cvwitness.symplectic import StandardForm, validate_cm
 from cvwitness.witness import PositivityMode, SixParamDetect
 
 
@@ -143,12 +143,22 @@ def exact_determinant(d, x, y):
     return det
 
 
+SCHEDULE_M1 = (1e2, 1e3, 1e4)
+
+
+def schedule_u_max(m1):
+    return np.sqrt(m1 / (m1 + 1.0)) * (1.0 - 1e-9)
+
+
+def schedule_ops():
+    """(M1, detect) for 17 schedule operators per M1, up to u_max."""
+    return [(m1, witness._schedule_detect(m1, schedule_u_max(m1) * (1.0 - f)))
+            for m1 in SCHEDULE_M1 for f in np.geomspace(1e-9, 0.5, 17)]
+
+
 def test_lambda_is_grid_minimum():
     ops = [fock.random_detect_operator(seed) for seed in range(150)]
-    for m1 in (1e2, 1e3, 1e4):
-        u_max = np.sqrt(m1 / (m1 + 1.0)) * (1.0 - 1e-9)
-        ops += [witness._schedule_detect(m1, u_max * (1.0 - f))
-                for f in np.geomspace(1e-9, 0.5, 17)]
+    ops += [d for _, d in schedule_ops()]
     wide = np.logspace(-4.0, 4.0, 121)
     near = np.geomspace(0.98, 1.02, 41)
     for d in ops:
@@ -229,3 +239,77 @@ def test_minimize_L_signs():
     g_ent = validate_cm(families.two_mode_squeezed_vacuum(0.4))
     l_ent, d = witness.minimize_L(g_ent)
     assert l_ent < 1.0
+
+
+def test_schedule_denominator_is_closed_form():
+    # minimize_L divides by 4 (M1+1)^2, the determinant at x = y = 1
+    for m1, d in schedule_ops():
+        lam, x, y = witness.lambda_product_vacuum(d)
+        assert abs(x - 1.0) < 1e-12 and abs(y - 1.0) < 1e-12
+        assert abs(lam * (m1 + 1.0) / 2.0 - 1.0) < 1e-11
+
+
+def local_symplectic(rng):
+    """Random R(theta) diag(e^-s, e^s) R(phi) on each of two modes."""
+    def rot(t):
+        return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+    out = np.zeros((4, 4))
+    for k in (0, 2):
+        s = rng.uniform(-0.6, 0.6)
+        out[k:k + 2, k:k + 2] = (rot(rng.uniform(0.0, np.pi)) @ np.diag([np.exp(-s), np.exp(s)])
+                                 @ rot(rng.uniform(0.0, np.pi)))
+    return out
+
+
+def minimize_L_inputs():
+    """Seeded two-mode inputs: 100 random CMs, then 110 standard forms passed
+    as CMs dressed by local symplectics and 110 passed as they are."""
+    rng = np.random.default_rng(71)
+    out = []
+    while len(out) < 100:
+        m = rng.normal(size=(4, 4))
+        try:
+            out.append(validate_cm(m @ m.T + rng.uniform(0.5, 2.0) * np.eye(4)))
+        except NotPhysical:
+            continue
+    while len(out) < 320:
+        a, b = rng.uniform(1.0, 4.0, size=2)
+        c1, c2 = rng.uniform(0.0, 1.0, size=2) * np.sqrt(a * b)
+        sf = StandardForm(a=a, b=b, c1=c1, c2=c2)
+        try:
+            validate_cm(sf.to_cm())
+        except NotPhysical:
+            continue
+        if len(out) < 210:
+            s = local_symplectic(rng)
+            out.append(validate_cm(s @ sf.to_cm() @ s.T))
+        else:
+            out.append(sf)
+    return out
+
+
+def schedule_ratios(g, m1, us):
+    """det(g + gamma_M) / (4 (M1+1)^2) for the schedule operators at each u."""
+    m = np.zeros((us.size, 4, 4)) + g
+    m[:, 0, 0] += m1
+    m[:, 1, 1] += m1
+    m[:, 2, 2] += 1.0 + us * us * (m1 + 1.0)
+    m[:, 3, 3] += 1.0 + us * us * (m1 + 1.0)
+    for i, j, sign in ((0, 2, 1.0), (2, 0, 1.0), (1, 3, -1.0), (3, 1, -1.0)):
+        m[:, i, j] += sign * us * (m1 + 1.0)
+    return np.linalg.det(m) / (4.0 * (m1 + 1.0) ** 2)
+
+
+def test_minimize_L_is_schedule_minimum():
+    wins = 0
+    for state in minimize_L_inputs():
+        lval, d = witness.minimize_L(state)
+        g = state.to_cm() if isinstance(state, StandardForm) else state.entries
+        for m1 in SCHEDULE_M1:
+            grid = np.linspace(1e-4, schedule_u_max(m1), 2001)
+            assert schedule_ratios(g, m1, grid).min() >= lval * (1.0 - 1e-12)
+        if d is not None:
+            wins += 1
+            assert witness.L_ratio(g, d) == pytest.approx(lval, rel=1e-11)
+    assert wins > 0
