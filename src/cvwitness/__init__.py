@@ -4,6 +4,7 @@ from .criteria import (
     BISEP_LARGE_C_BOUND,
     BISEP_THRESHOLD_C,
     Classification,
+    GHZParams,
     SymmetricMultimodeParams,
     Verdict,
     WernerWolf2x2Params,

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import criteria, families, fock, kernelspec, nongaussian, witness
 from .criteria import (
+    GHZParams,
     SymmetricMultimodeParams,
     Verdict,
     WernerWolf2x2Params,
@@ -104,8 +105,7 @@ def parse_state(doc, location=""):
         n = _require(doc, "n", location)
         if not isinstance(n, int) or n < 2:
             raise SchemaError("'n' must be an integer >= 2", f"{location}/n")
-        return {"family": "ghz", "n": n,
-                "a": _number(doc, "a", location), "c": _number(doc, "c", location)}
+        return GHZParams(n=n, a=_number(doc, "a", location), c=_number(doc, "c", location))
     if family == "ngpasg":
         kernel = parse_state(_require(doc, "kernel", location), f"{location}/kernel")
         if isinstance(kernel, StandardForm):
@@ -162,8 +162,8 @@ def _state_verdicts(state):
         return [criteria.werner_wolf_2x2(state)]
     if isinstance(state, SymmetricMultimodeParams):
         return [criteria.multimode_symmetric_full_sep(state)]
-    if isinstance(state, dict) and state.get("family") == "ghz":
-        return [criteria.ghz_full_sep(state["a"], state["c"], state["n"])]
+    if isinstance(state, GHZParams):
+        return [criteria.ghz_full_sep(state.a, state.c, state.n)]
     raise SchemaError("state type not supported by check-gaussian")
 
 

@@ -82,6 +82,15 @@ class SymmetricMultimodeParams:
         return self
 
 
+@dataclass(frozen=True)
+class GHZParams:
+    """The n-mode GHZ-type family: diagonal a, coupling c (see ghz_full_sep)."""
+
+    n: int
+    a: float
+    c: float
+
+
 def simon_criterion(sf):
     """Simon criterion for a two-mode standard form (PPT-equivalent)."""
     a, b, c1, c2 = sf.a, sf.b, sf.c1, sf.c2

@@ -16,7 +16,9 @@ from .symplectic import _ccm_matrix, gaussian_taylor
 from .witness import PositivityMode, SixParamDetect, detect_determinant, lambda_product_vacuum
 
 _SIGMA1_I2 = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
-_SIGMA3_I2 = np.kron(np.array([[1.0, 0.0], [0.0, -1.0]]), np.eye(2))
+_SIGMA3_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
+# M0 above which the alternating maximization counts as converged to the vacuum
+_M0_TARGET = 0.99999
 
 
 @dataclass(frozen=True)
@@ -67,10 +69,23 @@ class IterationResult:
     converged: bool
 
 
-def presqueezed_cm(d, x, y):
-    """CM of the detect operator conjugated by the local squeeze diag(sqrt(x), ...)."""
-    s_inv = np.diag([1.0 / np.sqrt(x), np.sqrt(x), 1.0 / np.sqrt(y), np.sqrt(y)])
-    return s_inv @ d.cm() @ s_inv
+def _generating_matrices(cms, x, y):
+    """beta of detect-operator CMs (..., 4, 4) pre-squeezed at x, y of shape (...).
+
+    The pre-squeeze conjugates each CM by diag(1/sqrt(x), sqrt(x), 1/sqrt(y),
+    sqrt(y)); raises SingularMatrix when any of the matrices is singular or
+    not real.
+    """
+    s = np.stack([1.0 / np.sqrt(x), np.sqrt(x), 1.0 / np.sqrt(y), np.sqrt(y)], axis=-1)
+    ccm = _ccm_matrix(s[..., :, None] * cms * s[..., None, :])
+    a = 0.5 * (ccm + _SIGMA1_I2)
+    if np.any(np.abs(np.linalg.det(a)) < 1e-300):
+        raise SingularMatrix("generating-function matrix is singular")
+    # conjugation by sigma3 x I2 flips the signs of the cross-mode blocks
+    beta = _SIGMA3_DIAG[:, None] * np.linalg.inv(a) * _SIGMA3_DIAG
+    if np.any(np.abs(beta.imag) > 1e-9):
+        raise SingularMatrix("beta has unexpected imaginary part")
+    return beta.real
 
 
 def beta_fock(d, x, y):
@@ -79,16 +94,8 @@ def beta_fock(d, x, y):
     Returns (beta, sqrt_det_beta); sqrt_det_beta doubles as the vacuum
     matrix element and the normalization of the element tensor.
     """
-    ccm = _ccm_matrix(presqueezed_cm(d, x, y))
-    a = 0.5 * (ccm + _SIGMA1_I2)
-    if abs(np.linalg.det(a)) < 1e-300:
-        raise SingularMatrix("generating-function matrix is singular")
-    beta = _SIGMA3_I2 @ np.linalg.inv(a) @ _SIGMA3_I2
-    if np.max(np.abs(beta.imag)) > 1e-9:
-        raise SingularMatrix("beta has unexpected imaginary part")
-    beta = beta.real
     sqrt_det_beta = 4.0 / np.sqrt(detect_determinant(d, x, y))
-    return beta, float(sqrt_det_beta)
+    return _generating_matrices(d.cm(), x, y), float(sqrt_det_beta)
 
 
 def generating_coeffs(d, x=None, y=None):
@@ -170,12 +177,24 @@ def _summation_terms(g, cutoff):
     return out
 
 
+def _element_tensors(cms, x, y, sqrt_det_beta, cutoff):
+    """Element tensors of detect-operator CMs (..., 4, 4) at their stationary (x, y).
+
+    x, y and sqrt_det_beta have the leading shape of cms; so do the tensors.
+    """
+    beta = _generating_matrices(cms, x, y)
+    tensor = gaussian_taylor(beta + _SIGMA1_I2, (cutoff - 1,) * 4)
+    tensor *= np.asarray(sqrt_det_beta)[..., None, None, None, None]
+    return tensor
+
+
 def fock_elements(d, cutoff):
     """Matrix-element tensor of the pre-squeezed detect operator."""
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    beta, sqrt_det_beta = beta_fock(d, *lambda_product_vacuum(d)[1:])
-    tensor = gaussian_taylor(beta + _SIGMA1_I2, (cutoff - 1,) * 4) * sqrt_det_beta
+    # Lambda = 4 / sqrt(det) at the stationary point is sqrt(det beta) there
+    sqrt_det_beta, x, y = lambda_product_vacuum(d)
+    tensor = _element_tensors(d.cm(), x, y, sqrt_det_beta, cutoff)
     return FockOperator(tensor=tensor, cutoff=cutoff, sqrt_det_beta=sqrt_det_beta)
 
 
@@ -202,27 +221,43 @@ def m0_eval(g, psi, truncation=None):
     return float(total.real)
 
 
+# contraction of an element tensor with a factor on mode 2 or mode 1
+_CONTRACTIONS = {2: "...akbl,...k,...l->...ab", 1: "...kalb,...k,...l->...ab"}
+
+
+def _conditional(tensors, vecs, mode):
+    """Contract one mode of element tensors (..., c, c, c, c) with unit vectors (..., c).
+
+    mode=2 contracts the second mode (a matrix over mode 1) and vice versa;
+    each result is made Hermitian.
+    """
+    norms = np.sqrt((np.abs(vecs) ** 2).sum(axis=-1)).ravel().tolist()
+    if any(abs(norm - 1.0) > 1e-10 for norm in norms):
+        raise ValueError("conditioning vector must be normalized")
+    if mode not in _CONTRACTIONS:
+        raise ValueError("mode must be 1 or 2")
+    mat = np.einsum(_CONTRACTIONS[mode], tensors, vecs.conj(), vecs)
+    herm = mat.conj().swapaxes(-1, -2)
+    herm += mat
+    herm *= 0.5
+    return herm
+
+
 def conditional_matrix(op, vec, mode=2):
     """Contract one mode of the element tensor with a unit vector.
 
     mode=2 contracts the second mode (returns a matrix over mode 1) and
     vice versa; the result is Hermitian.
     """
-    v = np.asarray(vec)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise ValueError("conditioning vector must be normalized")
-    if mode == 2:
-        mat = np.einsum("akbl,k,l->ab", op.tensor, np.conj(v), v)
-    elif mode == 1:
-        mat = np.einsum("kalb,k,l->ab", op.tensor, np.conj(v), v)
-    else:
-        raise ValueError("mode must be 1 or 2")
-    return 0.5 * (mat + mat.conj().T)
+    return _conditional(op.tensor, np.asarray(vec), mode)
+
+
+def _mean_photons(vecs):
+    return (np.arange(vecs.shape[-1]) * np.abs(vecs) ** 2).sum(axis=-1)
 
 
 def mean_photon(vec):
-    v = np.asarray(vec)
-    return float(np.sum(np.arange(len(v)) * np.abs(v) ** 2))
+    return float(_mean_photons(np.asarray(vec)))
 
 
 def random_state_vector(rng, dim):
@@ -230,7 +265,68 @@ def random_state_vector(rng, dim):
     return v / np.linalg.norm(v)
 
 
-def alternate_maximize(op, seed=None, max_rounds=100, initial=None, m0_target=0.99999):
+def _maximize(tensors, sqrt_det_beta, b, max_rounds, m0_target):
+    """Alternating maximization over a stack of element tensors (k, c, c, c, c).
+
+    Starts from unit mode-2 vectors b (k, c), with sqrt_det_beta a sequence
+    of k numbers, and returns one IterationResult per sample. Every round
+    contracts the samples still running at once and takes one stacked eigh;
+    a sample whose M0 passes m0_target leaves the stack, so its rounds and
+    traces are those it would have alone.
+    """
+    k, c = b.shape
+    a = np.zeros((k, c), dtype=complex)
+    a[:, 0] = 1.0
+    live = list(range(k))
+    m0_traces = [[] for _ in range(k)]
+    # per sample: the start vector, then the factor each round replaced
+    factors = [[row] for row in b]
+    results = [None] * k
+
+    def finish(j, rounds, converged):
+        i = live[j]
+        # round r pairs the factor it replaced with the one replaced in round r - 1
+        photons = _mean_photons(np.array(factors[i])).tolist()
+        results[i] = IterationResult(
+            m0=m0_traces[i][-1] if m0_traces[i] else -np.inf,
+            psi=ProductStateVec(a=a[j] / np.linalg.norm(a[j]), b=b[j] / np.linalg.norm(b[j])),
+            rounds=rounds,
+            photon_trace=tuple(0.5 * (p + q) for p, q in zip(photons[1:], photons)),
+            m0_trace=tuple(m0_traces[i]),
+            converged=converged,
+        )
+
+    r = 0
+    for r in range(1, max_rounds + 1):
+        if not live:
+            break
+        if r % 2 == 1:
+            w, vecs = np.linalg.eigh(_conditional(tensors, b, mode=2))
+            a = new = vecs[..., -1]
+        else:
+            w, vecs = np.linalg.eigh(_conditional(tensors, a, mode=1))
+            b = new = vecs[..., -1]
+        done = []
+        for j, (i, top, s) in enumerate(zip(live, w[:, -1].tolist(), sqrt_det_beta)):
+            m, trace = top / s, m0_traces[i]
+            if trace and m < trace[-1] - 1e-9:
+                raise ArithmeticError("M0 decreased between rounds")
+            trace.append(m)
+            factors[i].append(new[j])
+            done.append(m > m0_target)
+        if any(done):
+            for j in np.flatnonzero(done):
+                finish(j, r, True)
+            keep = np.logical_not(done)
+            live, sqrt_det_beta = ([x for x, d in zip(seq, done) if not d]
+                                   for seq in (live, sqrt_det_beta))
+            tensors, a, b = tensors[keep], a[keep], b[keep]
+    for j in range(len(live)):
+        finish(j, r, False)
+    return results
+
+
+def alternate_maximize(op, seed=None, max_rounds=100, initial=None, m0_target=_M0_TARGET):
     """Alternating largest-eigenvector maximization of the product-state mean.
 
     Each round contracts one mode with the current factor and replaces the
@@ -238,47 +334,13 @@ def alternate_maximize(op, seed=None, max_rounds=100, initial=None, m0_target=0.
     should pass an operator whose first party has the smaller M1*M2 weight
     (swap the detect operator otherwise).
     """
-    d = op.cutoff
     if initial is not None:
         b = np.asarray(initial, dtype=complex)
         b = b / np.linalg.norm(b)
     else:
         rng = np.random.default_rng(seed)
-        b = random_state_vector(rng, d)
-    a = np.zeros(d, dtype=complex)
-    a[0] = 1.0
-    m0 = -np.inf
-    photon_trace = []
-    m0_trace = []
-    converged = False
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
-        if rounds % 2 == 1:
-            mat = conditional_matrix(op, b, mode=2)
-            w, vecs = np.linalg.eigh(mat)
-            a = vecs[:, -1]
-        else:
-            mat = conditional_matrix(op, a, mode=1)
-            w, vecs = np.linalg.eigh(mat)
-            b = vecs[:, -1]
-        m0_new = float(w[-1]) / op.sqrt_det_beta
-        if m0_new < m0 - 1e-9:
-            raise ArithmeticError("M0 decreased between rounds")
-        m0 = m0_new
-        photon_trace.append(0.5 * (mean_photon(a) + mean_photon(b)))
-        m0_trace.append(m0)
-        if m0 > m0_target:
-            converged = True
-            break
-    psi = ProductStateVec(a=a / np.linalg.norm(a), b=b / np.linalg.norm(b))
-    return IterationResult(
-        m0=m0,
-        psi=psi,
-        rounds=rounds,
-        photon_trace=tuple(photon_trace),
-        m0_trace=tuple(m0_trace),
-        converged=converged,
-    )
+        b = random_state_vector(rng, op.cutoff)
+    return _maximize(op.tensor[None], [op.sqrt_det_beta], b[None], max_rounds, m0_target)[0]
 
 
 def random_detect_operator(seed, jitter=1e-3, max_tries=1000):
@@ -333,18 +395,25 @@ def sweep_fig1(samples, cutoff=6, seed=0, max_rounds=100):
     """
     if max_rounds < 1:
         raise ValueError("each sample needs at least one maximization round")
-    rows = []
-    failures = []
+    ds, starts = [], []
     for s in range(samples):
         rng = np.random.default_rng([int(seed), s])
-        d = iteration_detect(random_detect_operator(rng))
-        op = fock_elements(d, cutoff)
+        ds.append(iteration_detect(random_detect_operator(rng)))
         tau = rng.uniform(0.0, 3.0)
         b = np.zeros(cutoff, dtype=complex)
         b[0] = 1.0
         noise = rng.normal(size=cutoff) + 1j * rng.normal(size=cutoff)
         b = b + tau * noise / np.linalg.norm(noise)
-        res = alternate_maximize(op, initial=b, max_rounds=max_rounds)
+        starts.append(b / np.linalg.norm(b))
+    # Lambda is sqrt(det beta) at the stationary (x, y), as in fock_elements
+    lam, x, y = np.array([lambda_product_vacuum(d) for d in ds]).reshape(-1, 3).T
+    cms = np.array([d.cm() for d in ds]).reshape(-1, 4, 4)
+    tensors = _element_tensors(cms, x, y, lam, cutoff)
+    results = _maximize(tensors, lam.tolist(), np.array(starts).reshape(-1, cutoff), max_rounds,
+                        _M0_TARGET)
+    rows = []
+    failures = []
+    for s, (d, res) in enumerate(zip(ds, results)):
         m0, avg_photon = res.m0_trace[0], res.photon_trace[0]
         rows.append(SweepRow(seed=s, avg_photon=avg_photon, m0=m0,
                              rounds=res.rounds, converged=res.converged))

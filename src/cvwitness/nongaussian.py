@@ -8,6 +8,7 @@ coefficients come from the recursive table of symplectic.gaussian_taylor.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,7 +18,8 @@ from .symplectic import (CovarianceMatrix, _ccm_matrix, gaussian_taylor, standar
                          validate_cm)
 from . import witness
 
-# largest Taylor table, prod(alpha_i + 1) entries, a trace may allocate
+# largest Taylor table, prod(alpha_i + 1) entries, a trace may allocate; it
+# fills the numerator's and the denominator's tables as one stack of two
 MAX_TABLE_SIZE = 2**22
 
 
@@ -46,16 +48,24 @@ class NGPASGSpec:
         return int(sum(self.adds) + sum(self.subs))
 
 
+@lru_cache
 def _sigma1_in(n):
-    return np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(n))
+    s = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(n))
+    s.flags.writeable = False
+    return s
 
 
+@lru_cache
 def _pq_maps(n):
-    """Linear maps sending v = (eps, xi, eta, zeta) to (eps, -zeta) and (eta, -xi)."""
+    """Linear maps sending v = (eps, xi, eta, zeta) to (eps, -zeta) and (eta, -xi).
+
+    Built once per mode count and shared, so the arrays are read-only.
+    """
     z = np.zeros((n, n))
     i = np.eye(n)
     p = np.block([[i, z, z, z], [z, z, z, -i]])
     q = np.block([[z, z, i, z], [z, -i, z, z]])
+    p.flags.writeable = q.flags.writeable = False
     return p, q
 
 
@@ -123,8 +133,7 @@ def ngpasg_trace_finite(s, gamma_m):
     a0 = _a0_matrix(g)
     af = _af_matrix(g, m)
     # both coefficients carry the same 1/sqrt(alpha!), which cancels
-    numer = gaussian_taylor(a0 + af, alpha)[alpha]
-    denom = gaussian_taylor(a0, alpha)[alpha]
+    numer, denom = gaussian_taylor(np.stack((a0 + af, a0)), alpha)[(Ellipsis,) + alpha]
     if abs(denom) < 1e-300:
         raise SingularSum("normalization coefficient vanishes")
     ratio = numer / denom

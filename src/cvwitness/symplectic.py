@@ -6,6 +6,7 @@ gamma + i*sigma >= 0 with sigma the block-diagonal symplectic form.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,10 +24,17 @@ PSD_ATOL = 1e-9
 
 def symplectic_form(n):
     """The 2n x 2n symplectic form, (0, 1; -1, 0) per mode."""
+    return _symplectic_form(n).copy()
+
+
+@lru_cache
+def _symplectic_form(n):
+    """Read-only shared :func:`symplectic_form`, built once per mode count."""
     s = np.zeros((2 * n, 2 * n))
     for j in range(n):
         s[2 * j, 2 * j + 1] = 1.0
         s[2 * j + 1, 2 * j] = -1.0
+    s.flags.writeable = False
     return s
 
 
@@ -124,7 +132,7 @@ def validate_cm(entries):
         raise NotSymmetric("matrix is not symmetric to within tolerance")
     g = 0.5 * (g + g.T)
     n = g.shape[0] // 2
-    herm = g + 1j * symplectic_form(n)
+    herm = g + 1j * _symplectic_form(n)
     w = np.linalg.eigvalsh(herm)
     if w[0] < -PSD_ATOL:
         raise NotPhysical(w[0])
@@ -135,7 +143,7 @@ def symplectic_eigenvalues(cm):
     """Symplectic spectrum: positive eigenvalue moduli of i*sigma*gamma, descending."""
     g = cm.entries
     n = cm.n
-    w = np.linalg.eigvals(1j * symplectic_form(n) @ g)
+    w = np.linalg.eigvals(1j * _symplectic_form(n) @ g)
     mods = np.sort(np.abs(w))[::-1]
     # eigenvalues come in +/- pairs of equal modulus
     return [float(mods[2 * k]) for k in range(n)]
@@ -162,7 +170,7 @@ def min_pt_symplectic_eigenvalue(cm, partition=None):
     if partition is None:
         partition = ModePartition.bipartite(1, cm.n - 1)
     gt = partial_transpose(cm, partition)
-    w = np.abs(np.linalg.eigvals(1j * symplectic_form(cm.n) @ gt))
+    w = np.abs(np.linalg.eigvals(1j * _symplectic_form(cm.n) @ gt))
     return float(np.min(w))
 
 
@@ -198,33 +206,25 @@ def standard_form(cm):
     return StandardForm(a=a, b=b, c1=float(cd[0, 0]), c2=float(-cd[1, 1]))
 
 
-def _interleave_permutation(n):
-    """Permutation matrix sending (x1,p1,...) order to (x1..xn, p1..pn)."""
-    perm = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        perm[i, 2 * i] = 1.0
-        perm[n + i, 2 * i + 1] = 1.0
-    return perm
-
-
 def to_complex_cm(cm):
     """Transform a real CM into the complex covariance matrix (a, a^dagger ordering)."""
     return ComplexCM(matrix=_ccm_matrix(cm.entries))
 
 
 def _ccm_matrix(entries):
-    n = entries.shape[0] // 2
-    perm = _interleave_permutation(n)
-    g = perm @ entries @ perm.T
-    gx = g[:n, :n]
-    gp = g[n:, n:]
-    gxp = g[:n, n:]
-    gpx = g[n:, :n]
-    b11 = 0.5 * (gp - gx + 1j * (gxp + gpx))
-    b12 = 0.5 * (gp + gx + 1j * (gxp - gpx))
-    b21 = 0.5 * (gp + gx - 1j * (gxp - gpx))
-    b22 = 0.5 * (gp - gx - 1j * (gxp + gpx))
-    return np.block([[b11, b12], [b21, b22]])
+    """Complex CM of real CMs of shape (..., 2n, 2n), gathered block by block."""
+    n = entries.shape[-1] // 2
+    gx, gp = entries[..., 0::2, 0::2], entries[..., 1::2, 1::2]
+    gxp, gpx = entries[..., 0::2, 1::2], entries[..., 1::2, 0::2]
+    out = np.empty(entries.shape, dtype=complex)
+    re, im = out.real, out.imag
+    re[..., :n, :n] = re[..., n:, n:] = 0.5 * (gp - gx)
+    re[..., :n, n:] = re[..., n:, :n] = 0.5 * (gp + gx)
+    im[..., :n, :n] = 0.5 * (gxp + gpx)
+    im[..., n:, n:] = -im[..., :n, :n]
+    im[..., :n, n:] = 0.5 * (gxp - gpx)
+    im[..., n:, :n] = -im[..., :n, n:]
+    return out
 
 
 def gaussian_taylor(g, caps):
@@ -235,25 +235,32 @@ def gaussian_taylor(g, caps):
     table is filled one axis at a time by the recurrence
     T(a + e_i) = [sum_j g_ij sqrt(a_j) T(a - e_j)] / sqrt(a_i + 1)
     (Miatto & Quesada, Quantum 4, 366 (2020)); while axis i is filled every
-    later axis is still at 0, so only j <= i contribute.
+    later axis is still at 0, so only j <= i contribute. A stack of matrices,
+    g of shape (..., n, n), gives a stack of tables: the leading axes of g
+    lead the table, and each table is the one its matrix gives alone.
     """
     g = np.asarray(g)
     caps = tuple(int(c) for c in caps)
     n = len(caps)
-    t = np.zeros(tuple(c + 1 for c in caps), dtype=np.result_type(g.dtype, float))
-    t[(0,) * n] = 1.0
+    lead = g.shape[:-2]
+    t = np.zeros(lead + tuple(c + 1 for c in caps), dtype=np.result_type(g.dtype, float))
+    t[(Ellipsis,) + (0,) * n] = 1.0
     root = np.sqrt(np.arange(max(caps, default=0) + 1.0))
+    # g_ij broadcast against the i axes of a table slice; plain scalars without batch axes
+    coef = [[g[..., i, j].reshape(lead + (1,) * i) if lead else g[i, j] for j in range(i + 1)]
+            for i in range(n)]
+    pre = (slice(None),) * len(lead)
     for i in range(n):
-        block = t[(slice(None),) * (i + 1) + (0,) * (n - i - 1)]
+        block = t[pre + (slice(None),) * (i + 1) + (0,) * (n - i - 1)]
         for s in range(caps[i]):
             cur, nxt = block[..., s], block[..., s + 1]
             if s:
-                nxt += g[i, i] * root[s] * block[..., s - 1]
+                nxt += coef[i][i] * root[s] * block[..., s - 1]
             for j in range(i):
-                lower = (slice(None),) * j + (slice(None, -1),)
-                upper = (slice(None),) * j + (slice(1, None),)
+                lower = pre + (slice(None),) * j + (slice(None, -1),)
+                upper = pre + (slice(None),) * j + (slice(1, None),)
                 w = root[1 : caps[j] + 1].reshape((-1,) + (1,) * (i - j - 1))
-                nxt[upper] += g[i, j] * w * cur[lower]
+                nxt[upper] += coef[i][j] * w * cur[lower]
             nxt /= root[s + 1]
     return t
 
@@ -263,13 +270,12 @@ def from_complex_cm(ccm):
     m = ccm.matrix
     n = ccm.n
     b11, b12 = m[:n, :n], m[:n, n:]
-    gp = np.real(b11 + b12)
-    gx = np.real(b12 - b11)
-    gxp = np.imag(b11 + b12)
-    gpx = np.imag(b11 - b12)
-    g = np.block([[gx, gxp], [gpx, gp]])
-    perm = _interleave_permutation(n)
-    return perm.T @ g @ perm
+    g = np.empty(m.shape)
+    g[0::2, 0::2] = np.real(b12 - b11)
+    g[1::2, 1::2] = np.real(b11 + b12)
+    g[0::2, 1::2] = np.imag(b11 + b12)
+    g[1::2, 0::2] = np.imag(b11 - b12)
+    return g
 
 
 def gaussian_overlap(g1, g2):

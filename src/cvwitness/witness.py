@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NoConvergence, NotPhysical, OptimFailure, SingularGamma2
-from .symplectic import CovarianceMatrix, standard_form, symplectic_form
+from .symplectic import CovarianceMatrix, _symplectic_form, standard_form
 
 _EPS = np.finfo(float).eps
 
@@ -43,7 +43,7 @@ class SixParamDetect:
     def __post_init__(self):
         g = self.cm()
         if self.positivity is PositivityMode.QUANTUM_STATE:
-            g = g + 1j * symplectic_form(2)
+            g = g + 1j * _symplectic_form(2)
         w = np.linalg.eigvalsh(g)
         if w[0] < -1e-9:
             raise NotPhysical(w[0])
@@ -204,11 +204,26 @@ def L_ratio(gamma, d):
     return numer / denom
 
 
+def _schedule_params(m1, u):
+    """M3 and M5 of the schedule operator at (M1, u)."""
+    return 1.0 + u * u * (m1 + 1.0), u * (m1 + 1.0)
+
+
 def _schedule_detect(m1, u):
     """Paper-structured detect operator: symmetric blocks, M5^2 = (M1+1)(M3-1)."""
-    m3 = 1.0 + u * u * (m1 + 1.0)
-    m5 = u * (m1 + 1.0)
+    m3, m5 = _schedule_params(m1, u)
     return SixParamDetect(m1, m1, m3, m3, m5, m5, PositivityMode.OPERATOR_PSD)
+
+
+def _schedule_cms(m1, u):
+    """CMs (..., 4, 4) of the schedule operators at broadcast arrays m1 and u."""
+    m3, m5 = _schedule_params(m1, u)
+    cms = np.zeros(np.broadcast(m1, u).shape + (4, 4))
+    cms[..., 0, 0] = cms[..., 1, 1] = m1
+    cms[..., 2, 2] = cms[..., 3, 3] = m3
+    cms[..., 0, 2] = cms[..., 2, 0] = m5
+    cms[..., 1, 3] = cms[..., 3, 1] = -m5
+    return cms
 
 
 def minimize_L(gamma):
@@ -223,30 +238,31 @@ def minimize_L(gamma):
     c = 0.5 * (sf.c1 + sf.c2)
     g = gamma.entries if isinstance(gamma, CovarianceMatrix) else sf.to_cm()
 
-    def numerators(m1, us):
-        return np.linalg.det([g + _schedule_detect(m1, u).cm() for u in us])
-
-    best_val = np.inf
-    best_d = None
-    for m1 in (1e2, 1e3, 1e4):
-        # u above sqrt(M1/(M1+1)) makes the x-sector block of gamma_M indefinite
-        lo, hi = 1e-4, np.sqrt(m1 / (m1 + 1.0)) * (1.0 - 1e-9)
-        # The sector factors of det(gamma_M + diag(x, 1/x, y, 1/y)) are posynomials
-        # in (x, y), with constant term M1 - u^2 (M1+1) >= 0 up to hi, that trade
-        # places under (x, y) -> (1/x, 1/y); so the log-convex determinant is least
-        # at x = y = 1, where it is 4 (M1+1)^2 for every u.
-        denom = 4.0 * (m1 + 1.0) ** 2
-        # det(g + gamma_M) is a quartic in u, least at an end or a real stationary
-        # point: fit it through five nodes, ends included, and compare the nodes
-        # with every stationary point (complex ones clipped, as spare candidates).
-        nodes = np.linspace(lo, hi, 5)
-        dets = numerators(m1, nodes)
-        crit = np.clip(np.roots(np.polyder(np.polyfit(nodes, dets, 4))).real, lo, hi)
-        us = np.concatenate((nodes, crit))
-        vals = np.concatenate((dets, numerators(m1, crit))) / denom
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val, best_d = float(vals[i]), _schedule_detect(m1, float(us[i]))
+    m1 = np.array([1e2, 1e3, 1e4])
+    # u above sqrt(M1/(M1+1)) makes the x-sector block of gamma_M indefinite
+    hi = np.sqrt(m1 / (m1 + 1.0)) * (1.0 - 1e-9)
+    # det(g + gamma_M) is a quartic in u, least at an end or a real stationary
+    # point: fit it through five nodes per M1, ends included, and compare the
+    # nodes with every stationary point (complex ones clipped, as spare candidates).
+    nodes = np.linspace(1e-4, hi, 5, axis=-1)
+    dets = np.linalg.det(g + _schedule_cms(m1[:, None], nodes))
+    us = [np.concatenate((x, np.clip(np.roots(np.polyder(np.polyfit(x, y, 4))).real, 1e-4, h)))
+          for x, y, h in zip(nodes, dets, hi)]
+    m1s = np.repeat(m1, [len(u) for u in us])
+    us = np.concatenate(us)
+    cms = _schedule_cms(m1s, us)
+    # gamma_M >= 0 as SixParamDetect checks it, for every candidate at once
+    w = np.linalg.eigvalsh(cms)[:, 0]
+    bad = np.flatnonzero(w < -1e-9)
+    if bad.size:
+        raise NotPhysical(w[bad[0]])
+    # The sector factors of det(gamma_M + diag(x, 1/x, y, 1/y)) are posynomials
+    # in (x, y), with constant term M1 - u^2 (M1+1) >= 0 up to hi, that trade
+    # places under (x, y) -> (1/x, 1/y); so the log-convex determinant is least
+    # at x = y = 1, where it is 4 (M1+1)^2 for every u.
+    vals = np.linalg.det(g + cms) / (4.0 * (m1s + 1.0) ** 2)
+    i = int(np.argmin(vals))
+    best_val, best_d = float(vals[i]), _schedule_detect(float(m1s[i]), float(us[i]))
     if a > 1.0:
         limit = 0.5 * (b + 1.0) - c * c / (2.0 * (a - 1.0))
         if limit < best_val:

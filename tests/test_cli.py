@@ -1,11 +1,12 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cvwitness import cli
-from cvwitness.criteria import SymmetricMultimodeParams, WernerWolf2x2Params
+from cvwitness.criteria import GHZParams, SymmetricMultimodeParams, WernerWolf2x2Params
 from cvwitness.errors import SchemaError
 from cvwitness.nongaussian import NGPASGSpec
 from cvwitness.symplectic import CovarianceMatrix, StandardForm
@@ -53,7 +54,7 @@ def test_parse_state_multimode_and_ghz():
     doc = {"family": "symmetric_multimode", "n": 3, "a": 2, "b": 2, "c1": 0.3, "c2": 0.3}
     assert isinstance(cli.parse_state(doc), SymmetricMultimodeParams)
     ghz = cli.parse_state({"family": "ghz", "n": 3, "a": 2, "c": 0.3})
-    assert ghz["family"] == "ghz"
+    assert ghz == GHZParams(n=3, a=2.0, c=0.3)
 
 
 def test_parse_state_ngpasg():
@@ -87,7 +88,7 @@ def test_check_gaussian_boundary_report(tmp_path, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert any("squeezed_thermal margin 0 boundary" in ln for ln in lines)
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     ids = [c["criterion_id"] for c in report["criteria"]]
     assert "simon" in ids and "squeezed_thermal" in ids
 
@@ -97,7 +98,7 @@ def test_check_gaussian_cm_round_trip(tmp_path):
     inp = write_json(tmp_path / "s.json", {"cm": g.tolist()})
     out = str(tmp_path / "report.json")
     assert cli.main(["check-gaussian", "--input", inp, "--output", out]) == 0
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     assert np.max(np.abs(np.array(report["cm"]) - g)) < 1e-15
 
 
@@ -120,7 +121,7 @@ def test_check_nongaussian_with_schedule(tmp_path, capsys):
     rc = cli.main(["check-nongaussian", "--input", inp, "--output", out,
                    "--schedule", "10,100"])
     assert rc == 0
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     assert len(report["schedule"]) == 2
     assert report["criteria"][0]["classification"] == "entangled"
 
@@ -129,7 +130,7 @@ def test_witness_optimize(tmp_path, capsys):
     inp = write_json(tmp_path / "s.json", {"family": "squeezed_thermal", "a": 2, "b": 2, "c": 0.5})
     out = str(tmp_path / "r.json")
     assert cli.main(["witness-optimize", "--input", inp, "--output", out]) == 0
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     assert report["L"] > 1.0
 
 
@@ -137,7 +138,7 @@ def test_kernel_spectrum_csv(tmp_path):
     inp = write_json(tmp_path / "k.json", {"alpha": 1.0, "r": 0.5})
     out = str(tmp_path / "spec.csv")
     assert cli.main(["kernel-spectrum", "--input", inp, "--output", out, "--cutoff", "5"]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "n,nystrom,analytic"
     assert len(lines) == 6
 
@@ -145,7 +146,7 @@ def test_kernel_spectrum_csv(tmp_path):
 def test_fock_iterate(tmp_path, capsys):
     out = str(tmp_path / "r.json")
     assert cli.main(["fock-iterate", "--seed", "3", "--output", out]) == 0
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     assert report["rounds"] >= 1
     assert "m0" in capsys.readouterr().out
 
@@ -191,7 +192,7 @@ def test_sweep_fig2(tmp_path, capsys):
     inp = write_json(tmp_path / "grid.json", {"n_values": [0.5, 1.0], "r_values": [0.2, 0.6]})
     out = str(tmp_path / "fig2.csv")
     assert cli.main(["sweep-fig2", "--input", inp, "--output", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "n_thermal,r,boundary_r,margin_k1,margin_k2"
     assert len(lines) == 5
     # one- and two-photon margins coincide

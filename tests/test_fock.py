@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cvwitness import fock, witness
-from cvwitness.errors import StationarityViolated
+from cvwitness.errors import SingularMatrix, StationarityViolated
 from cvwitness.fock import ProductStateVec
 from cvwitness.witness import PositivityMode, SixParamDetect
 
@@ -196,6 +196,73 @@ def test_alternate_maximize_respects_max_rounds():
     assert not res.converged or res.m0 > 0.99999
 
 
+def test_conditional_matrix_rejects_unnormalized_vector():
+    op = fock.fock_elements(fock.random_detect_operator(6), 6)
+    e0 = np.zeros(6, dtype=complex)
+    e0[0] = 1.0
+    with pytest.raises(ValueError):
+        fock.conditional_matrix(op, 2.0 * e0)
+
+
+def stacked_inputs(cutoff, count=8):
+    """Seeded element-tensor operators and one unit start vector for each."""
+    rng = np.random.default_rng(cutoff)
+    ops = [fock.fock_elements(fock.iteration_detect(fock.random_detect_operator(s)), cutoff)
+           for s in range(count)]
+    starts = [fock.random_state_vector(rng, cutoff) for _ in ops]
+    return ops, starts
+
+
+def assert_same_iteration(res, ref):
+    assert res.rounds == ref.rounds and res.converged == ref.converged
+    for got, want in ((res.m0_trace, ref.m0_trace), (res.photon_trace, ref.photon_trace)):
+        assert len(got) == len(want)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert res.m0 == pytest.approx(ref.m0, rel=1e-12)
+
+
+@pytest.mark.parametrize("cutoff", [4, 6])
+def test_stacked_maximization_matches_batches_of_one(cutoff):
+    ops, starts = stacked_inputs(cutoff)
+    free = [fock.alternate_maximize(op, initial=b).rounds for op, b in zip(ops, starts)]
+    # a cap between the fastest and the slowest sample cuts some of them off
+    cap = sorted(free)[len(free) // 2]
+    assert len(set(free)) > 2 and max(free) > cap
+    stacked = fock._maximize(np.array([op.tensor for op in ops]),
+                             [op.sqrt_det_beta for op in ops], np.array(starts), cap, 0.99999)
+    assert {r.converged for r in stacked} == {True, False}
+    for op, b, res in zip(ops, starts, stacked):
+        assert_same_iteration(res, fock.alternate_maximize(op, initial=b, max_rounds=cap))
+
+
+def test_stacked_maximization_rejects_unnormalized_start():
+    ops, starts = stacked_inputs(6, count=3)
+    starts[1] = 1.5 * starts[1]
+    with pytest.raises(ValueError):
+        fock._maximize(np.array([op.tensor for op in ops]), [op.sqrt_det_beta for op in ops],
+                       np.array(starts), 10, 0.99999)
+
+
+def test_stacked_generating_matrices_raise_for_any_bad_sample():
+    good = fock.random_detect_operator(3).cm()
+    skew = np.zeros((4, 4))
+    skew[0, 1], skew[1, 0] = 0.3, -0.3
+    # -I maps to a vanishing matrix a; a skew part leaves beta complex
+    for bad, what in ((-np.eye(4), "singular"), (good + skew, "imaginary")):
+        with pytest.raises(SingularMatrix, match=what):
+            fock._generating_matrices(np.array([good, bad, good]), np.ones(3), np.ones(3))
+    assert fock._generating_matrices(np.array([good, good]), np.ones(2), np.ones(2)).dtype == float
+
+
+def test_stacked_tensors_match_fock_elements():
+    ds = [fock.iteration_detect(fock.random_detect_operator(s)) for s in range(5)]
+    lam, x, y = np.array([witness.lambda_product_vacuum(d) for d in ds]).T
+    tensors = fock._element_tensors(np.array([d.cm() for d in ds]), x, y, lam, 6)
+    for d, t in zip(ds, tensors):
+        op = fock.fock_elements(d, 6)
+        assert np.array_equal(t, op.tensor)
+
+
 def test_random_detect_operator_deterministic():
     d1 = fock.random_detect_operator(123)
     d2 = fock.random_detect_operator(123)
@@ -230,3 +297,20 @@ def test_sweep_rows_and_determinism():
     # a row records the first round of the maximization, so there must be one
     with pytest.raises(ValueError):
         fock.sweep_fig1(1, max_rounds=0)
+    assert fock.sweep_fig1(0) == ([], [])
+
+
+def test_sweep_rows_match_single_maximizations():
+    # the stacked sweep against each sample's own draw, tensor and maximization
+    rows, _ = fock.sweep_fig1(12, cutoff=5, seed=3, max_rounds=6)
+    assert {r.converged for r in rows} == {True, False}
+    for s, row in enumerate(rows):
+        rng = np.random.default_rng([3, s])
+        op = fock.fock_elements(fock.iteration_detect(fock.random_detect_operator(rng)), 5)
+        tau = rng.uniform(0.0, 3.0)
+        noise = rng.normal(size=5) + 1j * rng.normal(size=5)
+        b = np.eye(5)[0] + tau * noise / np.linalg.norm(noise)
+        res = fock.alternate_maximize(op, initial=b, max_rounds=6)
+        assert (row.rounds, row.converged) == (res.rounds, res.converged)
+        assert row.m0 == pytest.approx(res.m0_trace[0], rel=1e-12)
+        assert row.avg_photon == pytest.approx(res.photon_trace[0], rel=1e-12)

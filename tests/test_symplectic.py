@@ -10,8 +10,10 @@ from cvwitness.symplectic import (
     CovarianceMatrix,
     ModePartition,
     StandardForm,
+    _ccm_matrix,
     from_complex_cm,
     gaussian_overlap,
+    gaussian_taylor,
     min_pt_symplectic_eigenvalue,
     partial_transpose,
     standard_form,
@@ -40,6 +42,13 @@ def test_symplectic_form_structure():
     s = symplectic_form(3)
     assert np.array_equal(s, -s.T)
     assert np.array_equal(s @ s, -np.eye(6))
+
+
+def test_symplectic_form_copies_are_mutable():
+    # the form is built once per mode count; callers get their own copy
+    s = symplectic_form(2)
+    s[0, 1] = 7.0
+    assert symplectic_form(2)[0, 1] == 1.0
 
 
 def test_validate_vacuum():
@@ -141,6 +150,26 @@ def test_complex_cm_round_trip(seed, n):
     assert np.allclose(back, cm.entries, atol=1e-12)
 
 
+def test_complex_cm_matches_permutation_formula():
+    # the gather equals the block formula of the interleaving permutation, bit for bit
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        m = rng.normal(size=(2 * n, 2 * n))
+        g = m @ m.T
+        perm = np.zeros((2 * n, 2 * n))
+        for i in range(n):
+            perm[i, 2 * i] = perm[n + i, 2 * i + 1] = 1.0
+        h = perm @ g @ perm.T
+        gx, gp, gxp, gpx = h[:n, :n], h[n:, n:], h[:n, n:], h[n:, :n]
+        want = np.block([
+            [0.5 * (gp - gx + 1j * (gxp + gpx)), 0.5 * (gp + gx + 1j * (gxp - gpx))],
+            [0.5 * (gp + gx - 1j * (gxp - gpx)), 0.5 * (gp - gx - 1j * (gxp + gpx))],
+        ])
+        assert np.array_equal(_ccm_matrix(g), want)
+        stack = np.array([g, 2.0 * g, g + np.eye(2 * n)])
+        assert all(np.array_equal(_ccm_matrix(stack)[i], _ccm_matrix(stack[i])) for i in range(3))
+
+
 def test_complex_cm_is_complex_symmetric():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(4, 4))
@@ -193,3 +222,29 @@ def test_mode_partition_helpers():
     assert part.labels == ["A", "B"]
     with pytest.raises(ValueError):
         ModePartition(("A", "A"))
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("caps", [(3, 0, 2, 1), (0, 0), (2, 4, 0)])
+def test_gaussian_taylor_batch_equals_slices(lead, dtype, caps):
+    rng = np.random.default_rng(len(lead) + 10 * len(caps))
+    n = len(caps)
+    g = rng.normal(size=lead + (n, n))
+    if dtype is complex:
+        g = g + 1j * rng.normal(size=lead + (n, n))
+    g = g + np.swapaxes(g, -1, -2)
+    table = gaussian_taylor(g, caps)
+    assert table.shape == lead + tuple(c + 1 for c in caps)
+    assert table.dtype == np.dtype(dtype)
+    for idx in np.ndindex(*lead):
+        assert np.array_equal(table[idx], gaussian_taylor(g[idx], caps))
+
+
+def test_gaussian_taylor_single_mode_hermite():
+    # exp(g v^2 / 2): T[a] = g^(a/2) (a-1)!! / sqrt(a!) for even a, 0 for odd a
+    g = 0.7
+    table = gaussian_taylor(np.array([[g]]), (6,))
+    want = [1.0, 0.0, g / np.sqrt(2.0), 0.0, 3 * g**2 / np.sqrt(24.0), 0.0,
+            15 * g**3 / np.sqrt(720.0)]
+    assert np.allclose(table, want, rtol=1e-14, atol=0.0)

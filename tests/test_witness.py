@@ -249,6 +249,15 @@ def test_schedule_denominator_is_closed_form():
         assert abs(lam * (m1 + 1.0) / 2.0 - 1.0) < 1e-11
 
 
+def test_schedule_cms_match_schedule_detect():
+    m1 = np.array(SCHEDULE_M1)[:, None]
+    us = np.linspace(1e-4, 0.99, 7)
+    cms = witness._schedule_cms(m1, us)
+    assert cms.shape == (len(SCHEDULE_M1), 7, 4, 4)
+    for i, j in np.ndindex(*cms.shape[:2]):
+        assert np.array_equal(cms[i, j], witness._schedule_detect(m1[i, 0], us[j]).cm())
+
+
 def local_symplectic(rng):
     """Random R(theta) diag(e^-s, e^s) R(phi) on each of two modes."""
     def rot(t):
