@@ -221,22 +221,30 @@ def m0_eval(g, psi, truncation=None):
     return float(total.real)
 
 
-# contraction of an element tensor with a factor on mode 2 or mode 1
-_CONTRACTIONS = {2: "...akbl,...k,...l->...ab", 1: "...kalb,...k,...l->...ab"}
-
-
 def _conditional(tensors, vecs, mode):
     """Contract one mode of element tensors (..., c, c, c, c) with unit vectors (..., c).
 
     mode=2 contracts the second mode (a matrix over mode 1) and vice versa;
-    each result is made Hermitian.
+    each result is made Hermitian. Each contracted index is one matmul on a
+    reshaped view of the tensors: the last (mode 2) or first (mode 1) index
+    against the whole tensor, then the other index for each row.
     """
     norms = np.sqrt((np.abs(vecs) ** 2).sum(axis=-1)).ravel().tolist()
     if any(abs(norm - 1.0) > 1e-10 for norm in norms):
         raise ValueError("conditioning vector must be normalized")
-    if mode not in _CONTRACTIONS:
+    if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
-    mat = np.einsum(_CONTRACTIONS[mode], tensors, vecs.conj(), vecs)
+    lead, c = tensors.shape[:-4], tensors.shape[-1]
+    conj = vecs.conj()
+    if mode == 2:
+        # T[a, k, b, l] v_l, then conj(v_k) for each a
+        half = tensors.reshape(lead + (c**3, c)) @ vecs[..., :, None]
+        other = conj
+    else:
+        # conj(v_k) T[k, a, l, b], then v_l for each a
+        half = conj[..., None, :] @ tensors.reshape(lead + (c, c**3))
+        other = vecs
+    mat = (other[..., None, None, :] @ half.reshape(lead + (c, c, c))).reshape(lead + (c, c))
     herm = mat.conj().swapaxes(-1, -2)
     herm += mat
     herm *= 0.5

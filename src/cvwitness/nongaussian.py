@@ -69,37 +69,32 @@ def _pq_maps(n):
     return p, q
 
 
-def _a0_matrix(gamma_g):
-    """Quadratic form of the kernel characteristic function: chi = exp(v A0 v / 2)."""
-    g = gamma_g.entries if isinstance(gamma_g, CovarianceMatrix) else np.asarray(gamma_g, float)
-    n = g.shape[0] // 2
-    ccm = _ccm_matrix(g)
-    gp = ccm + _sigma1_in(n)
-    gm = ccm - _sigma1_in(n)
-    p, q = _pq_maps(n)
-    a0 = -0.5 * (p.T @ gp @ p + q.T @ gm @ q + p.T @ gm @ q + q.T @ gm @ p)
-    return 0.5 * (a0 + a0.T)
+def _char_forms(g, m=None):
+    """Quadratic forms of the kernel characteristic function and the detect correction.
 
-
-def _af_matrix(gamma_g, gamma_m):
-    """Quadratic form of the detect-operator correction f = v Af v / 2."""
-    g = gamma_g.entries if isinstance(gamma_g, CovarianceMatrix) else np.asarray(gamma_g, float)
-    m = gamma_m.entries if isinstance(gamma_m, CovarianceMatrix) else np.asarray(gamma_m, float)
+    Returns A0, with chi = exp(v A0 v / 2), for a kernel CM g; given a detect
+    CM m as well, returns (A0, Af) with f = v Af v / 2. Both complex CMs come
+    from one call on the stack (g, m).
+    """
     n = g.shape[0] // 2
-    ccm_g = _ccm_matrix(g)
-    ccm_m = _ccm_matrix(m)
+    ccm = _ccm_matrix(g if m is None else np.stack((g, m)))
+    ccm_g = ccm if m is None else ccm[0]
     gp = ccm_g + _sigma1_in(n)
     gm = ccm_g - _sigma1_in(n)
     p, q = _pq_maps(n)
+    a0 = -0.5 * (p.T @ gp @ p + q.T @ gm @ q + p.T @ gm @ q + q.T @ gm @ p)
+    a0 = 0.5 * (a0 + a0.T)
+    if m is None:
+        return a0
     lmap = gp @ p + gm @ q
-    w = np.linalg.inv(ccm_g + ccm_m)
-    af = 0.5 * lmap.T @ w @ lmap
-    return 0.5 * (af + af.T)
+    af = 0.5 * lmap.T @ np.linalg.solve(ccm_g + ccm[1], lmap)
+    return a0, 0.5 * (af + af.T)
 
 
 def q_char_zero(gamma_g, eps, xi, eta, zeta):
     """Characteristic function of the Q generating operator at z = 0."""
-    a0 = _a0_matrix(gamma_g)
+    g = gamma_g.entries if isinstance(gamma_g, CovarianceMatrix) else np.asarray(gamma_g, float)
+    a0 = _char_forms(g)
     v = np.concatenate([np.asarray(x, float) for x in (eps, xi, eta, zeta)])
     val = np.exp(0.5 * v @ a0 @ v)
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
@@ -130,10 +125,13 @@ def ngpasg_trace_finite(s, gamma_m):
     overlap = 2.0**n / np.sqrt(abs(det))
     if s.total_order == 0:
         return float(overlap)
-    a0 = _a0_matrix(g)
-    af = _af_matrix(g, m)
-    # both coefficients carry the same 1/sqrt(alpha!), which cancels
-    numer, denom = gaussian_taylor(np.stack((a0 + af, a0)), alpha)[(Ellipsis,) + alpha]
+    a0, af = _char_forms(g, m)
+    # both coefficients carry the same 1/sqrt(alpha!), which cancels; a variable
+    # with count 0 is set to 0, so the table runs over the others alone
+    live = np.flatnonzero(alpha)
+    sub = np.stack((a0 + af, a0))[:, live[:, None], live]
+    caps = tuple(alpha[i] for i in live)
+    numer, denom = gaussian_taylor(sub, caps)[(Ellipsis,) + caps]
     if abs(denom) < 1e-300:
         raise SingularSum("normalization coefficient vanishes")
     ratio = numer / denom

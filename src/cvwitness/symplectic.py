@@ -5,6 +5,7 @@ covariance matrix is the identity, and a matrix gamma is physical iff
 gamma + i*sigma >= 0 with sigma the block-diagonal symplectic form.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -174,36 +175,45 @@ def min_pt_symplectic_eigenvalue(cm, partition=None):
     return float(np.min(w))
 
 
-def _local_symplectic_to_scalar(block):
-    """S such that S @ block @ S.T = sqrt(det block) * I, with det S = 1."""
-    d = float(np.linalg.det(block))
+def _reduce_block(p, q, r):
+    """sqrt(det B) and the entries (s, t, u) of S = (B / sqrt(det B))^(-1/2).
+
+    For B = [[p, q], [q, r]], S = [[s, t], [t, u]] is the local symplectic
+    with S @ B @ S = sqrt(det B) * I; a det-1 B has B^(-1/2) = (adj B + I) /
+    sqrt(tr B + 2).
+    """
+    d = p * r - q * q
     if d <= 1e-12:
         raise DegenerateBlock("singular 2x2 diagonal block")
-    # B = block / sqrt(d) has det 1, so B^(-1/2) = (adj(B) + I) / sqrt(tr B + 2)
-    b = block / np.sqrt(d)
-    adj = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]])
-    return (adj + np.eye(2)) / np.sqrt(np.trace(b) + 2.0)
+    root = math.sqrt(d)
+    k = 1.0 / math.sqrt((p + r) / root + 2.0)
+    return root, (r / root + 1.0) * k, -q / root * k, (p / root + 1.0) * k
 
 
 def standard_form(cm):
-    """Reduce a two-mode CM to its standard form by local symplectics."""
+    """Reduce a two-mode CM to its standard form by local symplectics.
+
+    Each diagonal block is brought to a multiple of the identity in closed
+    form, which leaves the coupling C' = S_A C S_B. Rotations on both sides
+    make C' = diag(c1, -c2), and its signed singular values come from the
+    two rotation-invariant parts of C', with no SVD: the part commuting with
+    rotations has modulus (c1 - c2) / 2, the part anticommuting with them
+    (c1 + c2) / 2, so c1 >= |c2|.
+    """
     if cm.n != 2:
         raise ValueError("standard form is defined for two-mode states")
-    g = cm.entries
-    blk_a, blk_b, blk_c = g[:2, :2], g[2:, 2:], g[:2, 2:]
-    a_loc = _local_symplectic_to_scalar(blk_a)
-    b_loc = _local_symplectic_to_scalar(blk_b)
-    a = float(np.sqrt(np.linalg.det(blk_a)))
-    b = float(np.sqrt(np.linalg.det(blk_b)))
-    c = a_loc @ blk_c @ b_loc.T
-    u, s, vt = np.linalg.svd(c)
-    # force proper rotations (det +1), which are local symplectics
-    du = np.diag([1.0, np.sign(np.linalg.det(u)) or 1.0])
-    dv = np.diag([1.0, np.sign(np.linalg.det(vt)) or 1.0])
-    ra = (u @ du).T
-    rb = (vt.T @ dv).T
-    cd = ra @ c @ rb.T
-    return StandardForm(a=a, b=b, c1=float(cd[0, 0]), c2=float(-cd[1, 1]))
+    (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (_, _, _, g33) = (
+        cm.entries.tolist())
+    a, as_, at, au = _reduce_block(g00, g01, g11)
+    b, bs, bt, bu = _reduce_block(g22, g23, g33)
+    # C' = (S_A C) S_B
+    x0, x1 = as_ * g02 + at * g12, as_ * g03 + at * g13
+    y0, y1 = at * g02 + au * g12, at * g03 + au * g13
+    m00, m01 = x0 * bs + x1 * bt, x0 * bt + x1 * bu
+    m10, m11 = y0 * bs + y1 * bt, y0 * bt + y1 * bu
+    q = math.hypot(0.5 * (m00 + m11), 0.5 * (m10 - m01))
+    r = math.hypot(0.5 * (m00 - m11), 0.5 * (m10 + m01))
+    return StandardForm(a=a, b=b, c1=q + r, c2=r - q)
 
 
 def to_complex_cm(cm):
@@ -252,15 +262,17 @@ def gaussian_taylor(g, caps):
     pre = (slice(None),) * len(lead)
     for i in range(n):
         block = t[pre + (slice(None),) * (i + 1) + (0,) * (n - i - 1)]
+        # per earlier axis j: where a_j - 1 and a_j sit in a slice, and g_ij sqrt(a_j)
+        terms = [(pre + (slice(None),) * j + (slice(1, None),),
+                  pre + (slice(None),) * j + (slice(None, -1),),
+                  coef[i][j] * root[1 : caps[j] + 1].reshape((-1,) + (1,) * (i - j - 1)))
+                 for j in range(i)]
         for s in range(caps[i]):
             cur, nxt = block[..., s], block[..., s + 1]
             if s:
                 nxt += coef[i][i] * root[s] * block[..., s - 1]
-            for j in range(i):
-                lower = pre + (slice(None),) * j + (slice(None, -1),)
-                upper = pre + (slice(None),) * j + (slice(1, None),)
-                w = root[1 : caps[j] + 1].reshape((-1,) + (1,) * (i - j - 1))
-                nxt[upper] += coef[i][j] * w * cur[lower]
+            for upper, lower, w in terms:
+                nxt[upper] += w * cur[lower]
             nxt /= root[s + 1]
     return t
 

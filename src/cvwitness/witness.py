@@ -226,6 +226,43 @@ def _schedule_cms(m1, u):
     return cms
 
 
+# The schedule's M1 values; u above sqrt(M1/(M1+1)) makes the x-sector block
+# of gamma_M indefinite, so u runs over [1e-4, hi].
+_SCHEDULE_M1 = np.array([1e2, 1e3, 1e4])
+_SCHEDULE_HI = np.sqrt(_SCHEDULE_M1 / (_SCHEDULE_M1 + 1.0)) * (1.0 - 1e-9)
+_SCHEDULE_DENOM = 4.0 * (_SCHEDULE_M1 + 1.0) ** 2
+# det(g + gamma_M) is a quartic in u, fixed by its values at five nodes per M1,
+# ends included; _SCHEDULE_DERIV maps those values to the coefficients of its
+# derivative, highest power first (inverse Vandermonde rows times 4, 3, 2, 1).
+_SCHEDULE_NODES = np.linspace(1e-4, _SCHEDULE_HI, 5, axis=-1)
+_SCHEDULE_NODE_CMS = _schedule_cms(_SCHEDULE_M1[:, None], _SCHEDULE_NODES)
+_SCHEDULE_DERIV = np.arange(4.0, 0.0, -1.0)[:, None] * np.linalg.inv(
+    _SCHEDULE_NODES[..., None] ** np.arange(4.0, -1.0, -1.0))[:, :4]
+
+
+def _cubic_roots(d):
+    """Roots (k, 3) of the cubics with coefficients d (k, 4), highest power first.
+
+    They are the eigenvalues of the companion matrices, as np.roots finds
+    them. A leading coefficient at rounding level next to the largest one, 0
+    included, is dropped and a trailing 0 appended: that trades a root near
+    infinity for one at 0. A zero cubic gets three roots at 0.
+    """
+    d = np.array(d, dtype=float)
+    tiny = _EPS * np.abs(d).max(axis=-1)
+    for _ in range(3):
+        lead = np.abs(d[:, 0]) <= tiny
+        if not lead.any():
+            break
+        d[lead, :-1] = d[lead, 1:]
+        d[lead, -1] = 0.0
+    d[d[:, 0] == 0.0, 0] = 1.0
+    comp = np.zeros((len(d), 3, 3))
+    comp[:, 0] = -d[:, 1:] / d[:, :1]
+    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+    return np.linalg.eigvals(comp)
+
+
 def minimize_L(gamma):
     """Minimize the determinant ratio over the structured detect family.
 
@@ -238,21 +275,16 @@ def minimize_L(gamma):
     c = 0.5 * (sf.c1 + sf.c2)
     g = gamma.entries if isinstance(gamma, CovarianceMatrix) else sf.to_cm()
 
-    m1 = np.array([1e2, 1e3, 1e4])
-    # u above sqrt(M1/(M1+1)) makes the x-sector block of gamma_M indefinite
-    hi = np.sqrt(m1 / (m1 + 1.0)) * (1.0 - 1e-9)
-    # det(g + gamma_M) is a quartic in u, least at an end or a real stationary
-    # point: fit it through five nodes per M1, ends included, and compare the
-    # nodes with every stationary point (complex ones clipped, as spare candidates).
-    nodes = np.linspace(1e-4, hi, 5, axis=-1)
-    dets = np.linalg.det(g + _schedule_cms(m1[:, None], nodes))
-    us = [np.concatenate((x, np.clip(np.roots(np.polyder(np.polyfit(x, y, 4))).real, 1e-4, h)))
-          for x, y, h in zip(nodes, dets, hi)]
-    m1s = np.repeat(m1, [len(u) for u in us])
-    us = np.concatenate(us)
-    cms = _schedule_cms(m1s, us)
-    # gamma_M >= 0 as SixParamDetect checks it, for every candidate at once
-    w = np.linalg.eigvalsh(cms)[:, 0]
+    # det(g + gamma_M) is least at an end or a real stationary point: compare
+    # the nodes with every stationary point of the quartic through them
+    # (complex ones clipped, as spare candidates)
+    node_dets = np.linalg.det(g + _SCHEDULE_NODE_CMS)
+    roots = _cubic_roots((_SCHEDULE_DERIV @ node_dets[..., None])[..., 0])
+    stationary = np.clip(roots.real, 1e-4, _SCHEDULE_HI[:, None])
+    cms = _schedule_cms(_SCHEDULE_M1[:, None], stationary)
+    # gamma_M >= 0 as SixParamDetect checks it, for every stationary point at
+    # once (the nodes do not depend on gamma; tests check them)
+    w = np.linalg.eigvalsh(cms)[..., 0].ravel()
     bad = np.flatnonzero(w < -1e-9)
     if bad.size:
         raise NotPhysical(w[bad[0]])
@@ -260,9 +292,12 @@ def minimize_L(gamma):
     # in (x, y), with constant term M1 - u^2 (M1+1) >= 0 up to hi, that trade
     # places under (x, y) -> (1/x, 1/y); so the log-convex determinant is least
     # at x = y = 1, where it is 4 (M1+1)^2 for every u.
-    vals = np.linalg.det(g + cms) / (4.0 * (m1s + 1.0) ** 2)
-    i = int(np.argmin(vals))
-    best_val, best_d = float(vals[i]), _schedule_detect(float(m1s[i]), float(us[i]))
+    vals = np.concatenate((node_dets, np.linalg.det(g + cms)), axis=-1)
+    vals /= _SCHEDULE_DENOM[:, None]
+    us = np.concatenate((_SCHEDULE_NODES, stationary), axis=-1)
+    k, i = divmod(int(np.argmin(vals)), vals.shape[-1])
+    best_val = float(vals[k, i])
+    best_d = _schedule_detect(float(_SCHEDULE_M1[k]), float(us[k, i]))
     if a > 1.0:
         limit = 0.5 * (b + 1.0) - c * c / (2.0 * (a - 1.0))
         if limit < best_val:

@@ -314,3 +314,27 @@ def test_sweep_rows_match_single_maximizations():
         assert (row.rounds, row.converged) == (res.rounds, res.converged)
         assert row.m0 == pytest.approx(res.m0_trace[0], rel=1e-12)
         assert row.avg_photon == pytest.approx(res.photon_trace[0], rel=1e-12)
+
+
+# the three-operand einsum the matmul contraction replaced
+EINSUM_CONTRACTIONS = {2: "...akbl,...k,...l->...ab", 1: "...kalb,...k,...l->...ab"}
+
+
+def einsum_conditional(tensors, vecs, mode):
+    mat = np.einsum(EINSUM_CONTRACTIONS[mode], tensors, vecs.conj(), vecs)
+    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+@pytest.mark.parametrize("cutoff", [4, 7])
+def test_conditional_matches_einsum(mode, cutoff):
+    ops, starts = stacked_inputs(cutoff, count=5)
+    tensors = np.array([op.tensor for op in ops])
+    # eigh returns its vectors as columns, so the maximization passes strided views
+    vecs = np.linalg.eigh(einsum_conditional(tensors, np.array(starts), 2))[1][..., -1]
+    for t, v in [(tensors, vecs), (tensors[1:3], np.array(starts[1:3])),
+                 (tensors[0], vecs[0]), (ops[4].tensor, starts[4])]:
+        want = einsum_conditional(t, v, mode)
+        got = fock._conditional(t, v, mode)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

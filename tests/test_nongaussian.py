@@ -4,7 +4,7 @@ import pytest
 from cvwitness import families, nongaussian
 from cvwitness.errors import UnsupportedOrder
 from cvwitness.nongaussian import NGPASGSpec
-from cvwitness.symplectic import gaussian_overlap, validate_cm
+from cvwitness.symplectic import gaussian_overlap, gaussian_taylor, validate_cm
 
 from oracles import ladder, single_mode_gaussian_rho, two_mode_squeezed_thermal_rho
 
@@ -193,3 +193,38 @@ def test_kernel_verdict_dispatch():
     assert nongaussian.kernel_verdict(sym).criterion_id == "symmetric_two_mode"
     asym = validate_cm(families.squeezed_thermal_cm(2.0, 1.5, 0.6))
     assert nongaussian.kernel_verdict(asym).criterion_id == "squeezed_thermal"
+
+
+# add/sub patterns of the photon-trace benchmark workload (two-mode, then
+# single-mode), and every two-mode pattern with counts 0 or 1, which puts a
+# zero in each of the eight positions of alpha = (adds, subs, subs, adds)
+TWO_MODE_PATTERNS = (
+    ((0, 0), (0, 0)), ((1, 0), (0, 0)), ((1, 1), (0, 0)), ((0, 1), (1, 0)), ((2, 2), (0, 0)),
+    ((0, 0), (2, 2)), ((1, 1), (1, 1)), ((2, 1), (1, 0)), ((2, 2), (2, 2)), ((2, 0), (0, 0)),
+    ((2, 1), (1, 2)),
+) + tuple(((a1, a2), (s1, s2)) for a1 in (0, 1) for a2 in (0, 1) for s1 in (0, 1) for s2 in (0, 1))
+SINGLE_MODE_PATTERNS = (((1,), (0,)), ((0,), (1,)), ((1,), (1,)), ((2,), (0,)), ((2,), (1,)),
+                        ((2,), (2,)), ((3,), (0,)), ((0,), (3,)), ((3,), (2,)))
+
+
+def full_table_trace(s, gm):
+    """ngpasg_trace_finite with the Taylor table over all 4n variables."""
+    alpha = nongaussian._count_alpha(s)
+    a0, af = nongaussian._char_forms(s.kernel.entries, gm)
+    numer, denom = gaussian_taylor(np.stack((a0 + af, a0)), alpha)[(Ellipsis,) + alpha]
+    return (numer / denom).real * gaussian_overlap(s.kernel.entries, gm)
+
+
+def test_pruned_table_matches_full_table():
+    rng = np.random.default_rng(43)
+    m = rng.normal(size=(4, 4))
+    kernels = [validate_cm(families.squeezed_thermal_cm(1.8, 1.8, 0.9)),
+               validate_cm(m @ m.T + np.eye(4))]
+    cases = [(k, p) for k in kernels for p in TWO_MODE_PATTERNS]
+    cases += [(validate_cm(random_single_mode_cm(rng)), p) for p in SINGLE_MODE_PATTERNS]
+    for kernel, (adds, subs) in cases:
+        s = NGPASGSpec(kernel=kernel, adds=adds, subs=subs)
+        for lam in (10.0, 1e4):
+            gm = lam * np.eye(2 * s.n)
+            got = nongaussian.ngpasg_trace_finite(s, gm)
+            assert abs(got - full_table_trace(s, gm)) <= 1e-15 * abs(got)

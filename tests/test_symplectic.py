@@ -1,10 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvwitness import families
-from cvwitness.errors import NotPhysical, NotSymmetric, OddDimension
+from cvwitness.errors import DegenerateBlock, NotPhysical, NotSymmetric, OddDimension
 from cvwitness.symplectic import (
     ComplexCM,
     CovarianceMatrix,
@@ -248,3 +249,77 @@ def test_gaussian_taylor_single_mode_hermite():
     want = [1.0, 0.0, g / np.sqrt(2.0), 0.0, 3 * g**2 / np.sqrt(24.0), 0.0,
             15 * g**3 / np.sqrt(720.0)]
     assert np.allclose(table, want, rtol=1e-14, atol=0.0)
+
+
+def dressed_cm(sf, rng):
+    """The CM of a standard form under a random local symplectic S_A (+) S_B."""
+    s = np.zeros((4, 4))
+    s[:2, :2], s[2:, 2:] = random_symplectic_2x2(rng), random_symplectic_2x2(rng)
+    g = s @ sf.to_cm() @ s.T
+    return CovarianceMatrix(entries=0.5 * (g + g.T))
+
+
+def mp_standard_form(g):
+    """(a, b, c1, c2) of the float CM g, taken as exact, in 50-digit arithmetic.
+
+    Uses the local invariants a^2 = det A, b^2 = det B, c1 c2 = -det C and
+    c1^2 + c2^2 = a b tr(A^-1 C B^-1 C^T), not the reduction itself.
+    """
+    with mpmath.workdps(50):
+        m = mpmath.matrix(g.tolist())
+        blk_a, blk_b, blk_c = m[0:2, 0:2], m[2:4, 2:4], m[0:2, 2:4]
+        a, b = mpmath.sqrt(mpmath.det(blk_a)), mpmath.sqrt(mpmath.det(blk_b))
+        prod = -mpmath.det(blk_c)
+        f = a * b * sum((blk_a**-1 * blk_c * blk_b**-1 * blk_c.T)[i, i] for i in range(2))
+        plus, minus = mpmath.sqrt(f + 2 * prod), mpmath.sqrt(max(f - 2 * prod, 0))
+        return [float(x) for x in (a, b, (plus + minus) / 2, (plus - minus) / 2)]
+
+
+def svd_standard_form(g):
+    """(a, b, c1, c2) by eigendecompositions of the local blocks and an SVD."""
+    def reducer(blk):
+        w, v = np.linalg.eigh(blk)
+        return v @ np.diag(np.prod(w) ** 0.25 / np.sqrt(w)) @ v.T
+
+    cp = reducer(g[:2, :2]) @ g[:2, 2:] @ reducer(g[2:, 2:])
+    s = np.linalg.svd(cp, compute_uv=False)
+    return [np.sqrt(np.linalg.det(g[:2, :2])), np.sqrt(np.linalg.det(g[2:, 2:])), s[0],
+            -np.sign(np.linalg.det(cp)) * s[1]]
+
+
+def standard_form_cases():
+    """Seeded dressed standard forms: two-mode squeezed vacua up to r = 6
+    (|c1| = |c2|), c2 = 0, C = 0 and random couplings of either sign."""
+    rng = np.random.default_rng(23)
+    forms = [StandardForm(np.cosh(2 * r), np.cosh(2 * r), np.sinh(2 * r), np.sinh(2 * r))
+             for r in np.linspace(0.0, 6.0, 25)]
+    for _ in range(20):
+        a, b = rng.uniform(1.0, 4.0, size=2)
+        c = rng.uniform(-1.0, 1.0, size=2) * np.sqrt(a * b)
+        forms += [StandardForm(a, b, c[0], 0.0), StandardForm(a, b, 0.0, 0.0),
+                  StandardForm(a, b, c[0], c[1]), StandardForm(a, b, c[0], -c[0])]
+    return [dressed_cm(sf, rng) for sf in forms for _ in range(2)]
+
+
+def test_standard_form_matches_svd_and_50_digit_references():
+    for cm in standard_form_cases():
+        g = cm.entries
+        sf = standard_form(cm)
+        got = [sf.a, sf.b, sf.c1, sf.c2]
+        scale = max(sf.a, sf.b, 1.0)
+        assert sf.c1 >= abs(sf.c2)
+        for ref in (mp_standard_form(g), svd_standard_form(g)):
+            assert np.max(np.abs(np.subtract(got, ref))) <= 1e-14 * scale
+        # det A, det B, det C and det gamma are local invariants
+        h = sf.to_cm()
+        for blk in (np.s_[:2, :2], np.s_[2:, 2:], np.s_[:2, 2:]):
+            assert abs(np.linalg.det(h[blk]) - np.linalg.det(g[blk])) <= 1e-14 * scale**2
+        assert abs(np.linalg.det(h) - np.linalg.det(g)) <= 1e-14 * scale**4
+
+
+@pytest.mark.parametrize("block", [0, 2])
+def test_standard_form_rejects_near_singular_block(block):
+    g = StandardForm(2.0, 2.0, 0.5, 0.5).to_cm()
+    g[block:block + 2, block:block + 2] = [[1.0, 1.0], [1.0, 1.0 + 1e-13]]
+    with pytest.raises(DegenerateBlock):
+        standard_form(CovarianceMatrix(entries=g))

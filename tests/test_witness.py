@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from cvwitness import families, fock, witness
 from cvwitness.errors import NotPhysical, OptimFailure, SingularGamma2
-from cvwitness.symplectic import StandardForm, validate_cm
+from cvwitness.symplectic import StandardForm, standard_form, validate_cm
 from cvwitness.witness import PositivityMode, SixParamDetect
 
 
@@ -322,3 +323,69 @@ def test_minimize_L_is_schedule_minimum():
             wins += 1
             assert witness.L_ratio(g, d) == pytest.approx(lval, rel=1e-11)
     assert wins > 0
+
+
+def polyfit_minimize_L(state):
+    """minimize_L by per-M1 np.polyfit, np.polyder and np.roots calls."""
+    sf = state if isinstance(state, StandardForm) else standard_form(state)
+    g = state.to_cm() if isinstance(state, StandardForm) else state.entries
+    a, b = max(sf.a, sf.b), min(sf.a, sf.b)
+    c = 0.5 * (sf.c1 + sf.c2)
+    best = 0.5 * (b + 1.0) - c * c / (2.0 * (a - 1.0)) if a > 1.0 else np.inf
+    for m1 in SCHEDULE_M1:
+        nodes = np.linspace(1e-4, schedule_u_max(m1), 5)
+        fit = np.polyfit(nodes, schedule_ratios(g, m1, nodes), 4)
+        us = np.concatenate((nodes, np.clip(np.roots(np.polyder(fit)).real, 1e-4,
+                                            schedule_u_max(m1))))
+        best = min(best, schedule_ratios(g, m1, us).min())
+    return best
+
+
+def test_schedule_nodes_are_positive():
+    # minimize_L checks gamma_M >= 0 only at stationary points; the nodes are fixed
+    assert np.linalg.eigvalsh(witness._SCHEDULE_NODE_CMS)[..., 0].min() >= -1e-9
+    assert np.array_equal(witness._SCHEDULE_NODES[:, -1],
+                          [schedule_u_max(m1) for m1 in SCHEDULE_M1])
+
+
+@pytest.mark.parametrize("exact_zero", [False, True])
+@pytest.mark.parametrize("state", [validate_cm(np.eye(4)), StandardForm(1.0, 1.0, 0.0, 0.0),
+                                   StandardForm(1.0, 2.0, 0.0, 0.0)])
+def test_minimize_L_rounding_level_quartic(state, exact_zero, monkeypatch):
+    # the quartic is constant in u here, so its derivative's coefficients,
+    # the leading one included, are rounding noise; no division may warn.
+    # exact_zero makes the leading coefficient exactly 0 for every M1.
+    if exact_zero:
+        deriv = witness._SCHEDULE_DERIV.copy()
+        deriv[:, 0] = 0.0
+        monkeypatch.setattr(witness, "_SCHEDULE_DERIV", deriv)
+    g = state.to_cm() if isinstance(state, StandardForm) else state.entries
+    dets = np.linalg.det(g + witness._SCHEDULE_NODE_CMS)
+    deriv = (witness._SCHEDULE_DERIV @ dets[..., None])[..., 0]
+    assert np.all(np.abs(deriv).max(axis=-1) <= 1e-9 * dets.max(axis=-1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lval, _ = witness.minimize_L(state)
+        ref = polyfit_minimize_L(state)
+    assert abs(lval - ref) <= 1e-12 * ref
+
+
+def test_cubic_roots_with_vanishing_leading_coefficients():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = witness._cubic_roots(np.array([
+            [2.0, -6.0, 4.0, 0.5],      # a proper cubic
+            [0.0, 1.0, -3.0, 2.0],      # leading coefficient exactly 0
+            [1e-30, 1.0, -3.0, 2.0],    # leading coefficient at rounding level
+            [0.0, 0.0, 2.0, -1.0],      # two leading zeros
+            [0.0, 0.0, 0.0, 0.0],       # a constant quartic
+        ]))
+    assert roots.shape == (5, 3)
+    np.testing.assert_allclose(np.sort_complex(roots[0]),
+                               np.sort_complex(np.roots([2.0, -6.0, 4.0, 0.5])), atol=1e-14)
+    for row, finite in ((1, [1.0, 2.0]), (2, [1.0, 2.0]), (3, [0.5])):
+        # each dropped coefficient trades a root near infinity for one at 0
+        expect = np.concatenate((np.zeros(3 - len(finite)), finite))
+        np.testing.assert_allclose(np.sort(roots[row].real), expect, atol=1e-14)
+        assert np.all(roots[row].imag == 0.0)
+    assert np.all(roots[4] == 0.0)
