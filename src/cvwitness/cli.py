@@ -36,6 +36,18 @@ def _number(doc, key, location):
     return float(v)
 
 
+def _numbers(doc, keys, location):
+    return [_number(doc, key, location) for key in keys]
+
+
+def _validated(state, location):
+    """state once its validate() passes; a failure becomes a SchemaError at location."""
+    try:
+        return state.validate()
+    except (CVWitnessError, ValueError) as exc:
+        raise SchemaError(f"invalid {type(state).__name__}: {exc}", location)
+
+
 def parse_state(doc, location=""):
     """Parse a JSON state description into a tagged model object.
 
@@ -62,50 +74,27 @@ def parse_state(doc, location=""):
         except CVWitnessError as exc:
             raise SchemaError(f"invalid covariance matrix: {exc}", f"{location}/cm")
     if "standard_form" in doc:
-        sub = doc["standard_form"]
         loc = f"{location}/standard_form"
-        return StandardForm(
-            a=_number(sub, "a", loc),
-            b=_number(sub, "b", loc),
-            c1=_number(sub, "c1", loc),
-            c2=_number(sub, "c2", loc),
-        )
+        sf = StandardForm(*_numbers(doc["standard_form"], ("a", "b", "c1", "c2"), loc))
+        return _validated(sf, loc)
     family = _require(doc, "family", location)
+    if family in ("symmetric_multimode", "ghz"):
+        n = _require(doc, "n", location)
+        if not isinstance(n, int) or n < 2:
+            raise SchemaError("'n' must be an integer >= 2", f"{location}/n")
     if family == "squeezed_thermal":
-        c = _number(doc, "c", location)
-        return StandardForm(
-            a=_number(doc, "a", location), b=_number(doc, "b", location), c1=c, c2=c
-        )
+        a, b, c = _numbers(doc, ("a", "b", "c"), location)
+        return _validated(StandardForm(a, b, c, c), location)
     if family == "symmetric_two_mode":
-        a = _number(doc, "a", location)
-        return StandardForm(
-            a=a, b=a, c1=_number(doc, "c1", location), c2=_number(doc, "c2", location)
-        )
+        a, c1, c2 = _numbers(doc, ("a", "c1", "c2"), location)
+        return _validated(StandardForm(a, a, c1, c2), location)
     if family == "werner_wolf_2x2":
-        return WernerWolf2x2Params(
-            A=_number(doc, "A", location),
-            B=_number(doc, "B", location),
-            C=_number(doc, "C", location),
-            D=_number(doc, "D", location),
-            E=_number(doc, "E", location),
-            F=_number(doc, "F", location),
-        )
+        return _validated(WernerWolf2x2Params(*_numbers(doc, "ABCDEF", location)), location)
     if family == "symmetric_multimode":
-        n = _require(doc, "n", location)
-        if not isinstance(n, int) or n < 2:
-            raise SchemaError("'n' must be an integer >= 2", f"{location}/n")
-        return SymmetricMultimodeParams(
-            n=n,
-            a=_number(doc, "a", location),
-            b=_number(doc, "b", location),
-            c1=_number(doc, "c1", location),
-            c2=_number(doc, "c2", location),
-        )
+        vals = _numbers(doc, ("a", "b", "c1", "c2"), location)
+        return _validated(SymmetricMultimodeParams(n, *vals), location)
     if family == "ghz":
-        n = _require(doc, "n", location)
-        if not isinstance(n, int) or n < 2:
-            raise SchemaError("'n' must be an integer >= 2", f"{location}/n")
-        return GHZParams(n=n, a=_number(doc, "a", location), c=_number(doc, "c", location))
+        return _validated(GHZParams(n, *_numbers(doc, ("a", "c"), location)), location)
     if family == "ngpasg":
         kernel = parse_state(_require(doc, "kernel", location), f"{location}/kernel")
         if isinstance(kernel, StandardForm):

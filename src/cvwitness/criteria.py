@@ -6,6 +6,7 @@ direction of the underlying inequality.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,13 @@ class GHZParams:
     a: float
     c: float
 
+    def to_cm(self):
+        return families.ghz_cm(self.n, self.a, self.c)
+
+    def validate(self):
+        validate_cm(self.to_cm())
+        return self
+
 
 def simon_criterion(sf):
     """Simon criterion for a two-mode standard form (PPT-equivalent)."""
@@ -115,53 +123,72 @@ def werner_wolf_2x2(p):
     return Verdict("werner_wolf_2x2", float(margin))
 
 
-def _refine_window(feasible, x0, y0):
-    """First feasible (x, y), row-major, on an 80 x 80 window around (x0, y0).
+def _slack(c, e, t):
+    """max(c - e^2/t, 0), read as c when e = 0 and as 0 when t <= 0 < |e|."""
+    if not e:
+        return c
+    return max(c - e * e / t, 0.0) if t > 0 else 0.0
 
-    The window spans +-5% geometrically on each axis; ``feasible`` maps
-    broadcast x, y arrays to a boolean grid. Returns None when no window
-    point is feasible.
+
+def _holds(s1, s2, s3, s4, e, f):
+    """Float test of s1 s2 >= e^2 and s3 s4 >= f^2 with every factor >= 0."""
+    return min(s1, s2, s3, s4) >= 0 and s1 * s2 >= e * e and s3 * s4 >= f * f
+
+
+def _stationarity_coefficients(A, B, C, D, E, F):
+    """(a2, a1, a0) of F^2 C (A - u)^2 - E^2 D (B u - 1)^2 + E^2 F^2 (B u^2 - A)."""
+    e2, f2 = E * E, F * F
+    return (f2 * C - e2 * D * B * B + e2 * f2 * B,
+            2 * (e2 * D * B - f2 * C * A),
+            f2 * C * A * A - e2 * D - e2 * f2 * A)
+
+
+def _product_certificate(A, B, C, D, E, F):
+    """(x, y) > 0 with (A - 1/x)(C - 1/y) >= E^2 and (B - x)(D - y) >= F^2, or None.
+
+    With u = 1/x, a y exists iff h(u) = f1 f2 >= 1, where f1 = C - E^2/(A - u)
+    and f2 = D - F^2/(B - 1/u); y is then any point of [1/f1, f2]. Both
+    factors are concave and nonnegative on [D/(BD - F^2), A - E^2/C], so h
+    is log-concave there, and d/du log h = 0 cleared of denominators is the
+    quadratic F^2 C (A - u)^2 - E^2 D (B u - 1)^2 + E^2 F^2 (B u^2 - A) = 0.
+    The maximum of h is the best of the interval ends and the roots inside.
+    y is the geometric middle of its range, and x the geometric middle of
+    its range given y, so both inequalities keep slack where they can.
     """
-    x = np.geomspace(x0 / 1.05, x0 * 1.05, 80)[:, None]
-    y = np.geomspace(y0 / 1.05, y0 * 1.05, 80)[None, :]
-    ok = feasible(x, y)
-    if not ok.any():
+    if min(C, D, B * D - F * F) <= 0:
         return None
-    i, j = np.unravel_index(np.argmax(ok), ok.shape)
-    return float(x[i, 0]), float(y[0, j])
+    lo, hi = D / (B * D - F * F), A - E * E / C
+    us = [lo, hi]
+    a2, a1, a0 = _stationarity_coefficients(A, B, C, D, E, F)
+    if a2:
+        disc = a1 * a1 - 4.0 * a2 * a0
+        if disc >= 0:
+            q = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
+            us += (q / a2, a0 / q) if q else ()
+    elif a1:
+        us.append(-a0 / a1)
+    f1, f2 = max(((_slack(C, E, A - u), _slack(D, F, B - 1.0 / u)) for u in us if lo <= u <= hi),
+                 key=lambda f: f[0] * f[1], default=(0.0, 0.0))
+    if f1 * f2 < 1:
+        return None
+    y = math.sqrt(f2 / f1)
+    umax, xmax = _slack(A, E, C - 1.0 / y), _slack(B, F, D - y)
+    if umax * xmax < 1:
+        return None
+    return math.sqrt(xmax / umax), y
 
 
 def ww_pair_exists(p):
-    """Grid search for (x, y) > 0 satisfying the pure-product certificate pair.
+    """Whether (x, y) > 0 satisfies the pure-product certificate pair.
 
-    Looks for (A - 1/x)(C - 1/y) >= E^2 and (B - x)(D - y) >= F^2 over a
-    logarithmic grid with one local refinement pass.
+    The pair is (A - 1/x)(C - 1/y) >= E^2 and (B - x)(D - y) >= F^2; the
+    solved (x, y) is checked against it in float before True is returned.
     """
-
-    def feasible(x, y):
-        return (
-            (p.A - 1.0 / x >= 0)
-            & (p.C - 1.0 / y >= 0)
-            & (p.B - x >= 0)
-            & (p.D - y >= 0)
-            & ((p.A - 1.0 / x) * (p.C - 1.0 / y) >= p.E * p.E)
-            & ((p.B - x) * (p.D - y) >= p.F * p.F)
-        )
-
-    grid = np.logspace(-3.0, 3.0, 600)
-    xs = grid[(1.0 / grid <= p.A) & (grid <= p.B)]
-    ys = grid[(1.0 / grid <= p.C) & (grid <= p.D)]
-    if xs.size == 0 or ys.size == 0:
+    pair = _product_certificate(p.A, p.B, p.C, p.D, p.E, p.F)
+    if pair is None:
         return False
-    t1 = np.outer(p.A - 1.0 / xs, p.C - 1.0 / ys) - p.E * p.E
-    t2 = np.outer(p.B - xs, p.D - ys) - p.F * p.F
-    ok = (t1 >= 0) & (t2 >= 0)
-    if np.any(ok):
-        return True
-    # refine around the least-infeasible grid point
-    score = np.minimum(t1, t2)
-    i, j = np.unravel_index(np.argmax(score), score.shape)
-    return _refine_window(feasible, xs[i], ys[j]) is not None
+    x, y = pair
+    return _holds(p.A - 1.0 / x, p.C - 1.0 / y, p.B - x, p.D - y, p.E, p.F)
 
 
 def multimode_symmetric_full_sep(p):
@@ -257,38 +284,20 @@ def refined_ww_check(gamma, *locals_, det_tol=1e-6, psd_tol=1e-9):
 
 
 def refined_ww_search(sf):
-    """Search for a pure-product certificate for a two-mode standard form.
+    """Pure-product certificate (x, y) for a two-mode standard form, or None.
 
-    Tries gamma_A = diag(1/x, x), gamma_B = diag(y, 1/y) over a logarithmic
-    grid with local refinement; returns (x, y) or None.
+    gamma_A = diag(1/x, x) and gamma_B = diag(y, 1/y) fit under gamma iff
+    (a - 1/x)(b - y) >= c1^2 and (a - x)(b - 1/y) >= c2^2: the Werner-Wolf
+    pair for (a, a, b, b, c1, c2) with y -> 1/y, whose margin there is the
+    Simon margin. The pair is checked in float before it is returned.
     """
-
-    def feasible(x, y):
-        # PSD of the difference decouples into an x-sector and a p-sector
-        t1 = (sf.a - 1.0 / x) * (sf.b - y) - sf.c1 * sf.c1
-        t2 = (sf.a - x) * (sf.b - 1.0 / y) - sf.c2 * sf.c2
-        return (
-            (sf.a - 1.0 / x >= 0)
-            & (sf.b - y >= 0)
-            & (sf.a - x >= 0)
-            & (sf.b - 1.0 / y >= 0)
-            & (t1 >= 0)
-            & (t2 >= 0)
-        )
-
-    grid = np.logspace(-3.0, 3.0, 600)
-    xs = grid[(grid <= sf.a) & (1.0 / grid <= sf.a)]
-    ys = grid[(grid <= sf.b) & (1.0 / grid <= sf.b)]
-    if xs.size == 0 or ys.size == 0:
-        # a or b below 1: only the exact vacuum certificate could work
-        return (1.0, 1.0) if feasible(1.0, 1.0) else None
-    t1 = np.outer(sf.a - 1.0 / xs, sf.b - ys) - sf.c1 * sf.c1
-    t2 = np.outer(sf.a - xs, sf.b - 1.0 / ys) - sf.c2 * sf.c2
-    score = np.minimum(t1, t2)
-    i, j = np.unravel_index(np.argmax(score), score.shape)
-    if score[i, j] >= 0:
-        return float(xs[i]), float(ys[j])
-    return _refine_window(feasible, xs[i], ys[j])
+    pair = _product_certificate(sf.a, sf.a, sf.b, sf.b, sf.c1, sf.c2)
+    if pair is None:
+        return None
+    x, y = pair[0], 1.0 / pair[1]
+    if not _holds(sf.a - 1.0 / x, sf.b - y, sf.a - x, sf.b - 1.0 / y, sf.c1, sf.c2):
+        return None
+    return x, y
 
 
 def certificate_cms(x, y):

@@ -57,8 +57,3 @@ def symmetric_multimode_cm(n, a, b, c1, c2):
 def ghz_cm(n, a, c):
     """GHZ-type symmetric CM: b = a + (n-2)c on the momentum diagonal."""
     return symmetric_multimode_cm(n, a, a + (n - 2) * c, c, c)
-
-
-def three_mode_symmetric_cm(a, c):
-    """Three-mode symmetric squeezed thermal family, b = a + c."""
-    return symmetric_multimode_cm(3, a, a + c, c, c)

@@ -57,16 +57,16 @@ def _sigma1_in(n):
 
 @lru_cache
 def _pq_maps(n):
-    """Linear maps sending v = (eps, xi, eta, zeta) to (eps, -zeta) and (eta, -xi).
+    """Signed permutation S sending v = (eps, xi, eta, zeta) to (eps, -zeta, eta, -xi).
 
-    Built once per mode count and shared, so the arrays are read-only.
+    Complex, since it only multiplies complex CMs; built once per mode count
+    and shared, so the array is read-only.
     """
     z = np.zeros((n, n))
     i = np.eye(n)
-    p = np.block([[i, z, z, z], [z, z, z, -i]])
-    q = np.block([[z, z, i, z], [z, -i, z, z]])
-    p.flags.writeable = q.flags.writeable = False
-    return p, q
+    s = np.block([[i, z, z, z], [z, z, z, -i], [z, z, i, z], [z, -i, z, z]]).astype(complex)
+    s.flags.writeable = False
+    return s
 
 
 def _char_forms(g, m=None):
@@ -81,12 +81,13 @@ def _char_forms(g, m=None):
     ccm_g = ccm if m is None else ccm[0]
     gp = ccm_g + _sigma1_in(n)
     gm = ccm_g - _sigma1_in(n)
-    p, q = _pq_maps(n)
-    a0 = -0.5 * (p.T @ gp @ p + q.T @ gm @ q + p.T @ gm @ q + q.T @ gm @ p)
+    s = _pq_maps(n)
+    top = np.hstack((gp, gm))
+    a0 = -0.5 * s.T @ np.vstack((top, np.hstack((gm, gm)))) @ s
     a0 = 0.5 * (a0 + a0.T)
     if m is None:
         return a0
-    lmap = gp @ p + gm @ q
+    lmap = top @ s
     af = 0.5 * lmap.T @ np.linalg.solve(ccm_g + ccm[1], lmap)
     return a0, 0.5 * (af + af.T)
 

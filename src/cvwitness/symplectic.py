@@ -116,6 +116,10 @@ class StandardForm:
         g[1, 3] = g[3, 1] = -self.c2
         return g
 
+    def validate(self):
+        validate_cm(self.to_cm())
+        return self
+
 
 def validate_cm(entries):
     """Validate a candidate covariance matrix.

@@ -199,3 +199,41 @@ def test_sweep_fig2(tmp_path, capsys):
     for ln in lines[1:]:
         parts = ln.split(",")
         assert abs(float(parts[3]) - float(parts[4])) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "doc, location",
+    [
+        ({"standard_form": {"a": 0.5, "b": 2, "c1": 0, "c2": 0}}, "/standard_form"),
+        ({"family": "squeezed_thermal", "a": 0.5, "b": 0.5, "c": 2}, ""),
+        ({"family": "symmetric_two_mode", "a": 1.2, "c1": 1.5, "c2": 1.5}, ""),
+        ({"family": "werner_wolf_2x2", "A": 1, "B": 1, "C": 1, "D": 1, "E": 2, "F": 0}, ""),
+        ({"family": "symmetric_multimode", "n": 3, "a": 1, "b": 1, "c1": 0.9, "c2": 0.9}, ""),
+        ({"family": "symmetric_multimode", "n": 3, "a": 2, "b": 2, "c1": 0.3, "c2": -0.3}, ""),
+        ({"family": "ghz", "n": 3, "a": 0.2, "c": 0.9}, ""),
+        ({"family": "ngpasg", "kernel": {"family": "squeezed_thermal", "a": 1, "b": 1, "c": 1},
+          "add": [1, 0], "sub": [0, 0]}, "/kernel"),
+    ],
+)
+def test_parse_state_rejects_invalid_family_input(doc, location):
+    with pytest.raises(SchemaError) as exc:
+        cli.parse_state(doc)
+    assert exc.value.location == location
+    assert "invalid" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"family": "squeezed_thermal", "a": 0.5, "b": 0.5, "c": 2},
+     {"family": "ghz", "n": 3, "a": 0.2, "c": 0.9}],
+)
+def test_check_gaussian_unphysical_family_exit_code(tmp_path, capsys, doc):
+    rc = cli.main(["check-gaussian", "--input", write_json(tmp_path / "s.json", doc)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
+def test_ghz_params_validate():
+    assert GHZParams(n=3, a=2.0, c=0.3).validate() == GHZParams(n=3, a=2.0, c=0.3)
