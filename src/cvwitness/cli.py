@@ -8,6 +8,7 @@ Verdicts are data: exit codes signal execution errors only.
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -334,9 +335,13 @@ def cmd_sweep_fig2(args):
 
 def _parse_schedule(text):
     try:
-        return [float(x) for x in text.split(",") if x]
+        lams = [float(x) for x in text.split(",") if x]
     except ValueError:
         raise argparse.ArgumentTypeError("schedule must be comma-separated numbers")
+    # a detect operator lambda * I needs a finite lambda > 0
+    if not all(0.0 < lam < math.inf for lam in lams):
+        raise argparse.ArgumentTypeError("schedule values must be finite and positive")
+    return lams
 
 
 _FLAG_TYPES = {"seed": int, "cutoff": int, "samples": int, "schedule": _parse_schedule}

@@ -7,6 +7,7 @@ formal variables (eps, xi, eta, zeta), one entry per mode; the
 coefficients come from the recursive table of symplectic.gaussian_taylor.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -14,8 +15,8 @@ import numpy as np
 
 from . import criteria
 from .errors import SingularSum, UnsupportedOrder
-from .symplectic import (CovarianceMatrix, _ccm_matrix, gaussian_taylor, standard_form,
-                         validate_cm)
+from .symplectic import (CovarianceMatrix, _ccm_matrix, gaussian_overlap, gaussian_taylor,
+                         standard_form, validate_cm)
 from . import witness
 
 # largest Taylor table, prod(alpha_i + 1) entries, a trace may allocate; it
@@ -43,53 +44,58 @@ class NGPASGSpec:
     def n(self):
         return self.kernel.n
 
-    @property
-    def total_order(self):
-        return int(sum(self.adds) + sum(self.subs))
-
 
 @lru_cache
-def _sigma1_in(n):
-    s = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(n))
-    s.flags.writeable = False
-    return s
+def _form_maps(n):
+    """Constant affine maps behind :func:`_char_forms`, built once per mode count.
 
-
-@lru_cache
-def _pq_maps(n):
-    """Signed permutation S sending v = (eps, xi, eta, zeta) to (eps, -zeta, eta, -xi).
-
-    Complex, since it only multiplies complex CMs; built once per mode count
-    and shared, so the array is read-only.
+    With x = (vec g, vec m) for a kernel CM g and a detect CM m, lin @ x +
+    const stacks vec A0, vec L and vec ccm(g + m), where L = [g+, g-] S,
+    g+- = ccm(g) +- sigma1 and S is the signed permutation sending
+    v = (eps, xi, eta, zeta) to (eps, -zeta, eta, -xi); A0 = -S^T [[g+, g-],
+    [g-, g-]] S / 2, symmetrized. Every part is affine in g, so the columns
+    are its images of the unit CMs. The arrays are shared, so read-only.
     """
-    z = np.zeros((n, n))
-    i = np.eye(n)
-    s = np.block([[i, z, z, z], [z, z, z, -i], [z, z, i, z], [z, -i, z, z]]).astype(complex)
-    s.flags.writeable = False
-    return s
+    d = 2 * n
+    z, i = np.zeros((n, n)), np.eye(n)
+    s = np.block([[i, z, z, z], [z, z, z, -i], [z, z, i, z], [z, -i, z, z]])
+    sigma1 = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), i)
+
+    def forms(ccm, shift):
+        gp, gm = ccm + shift, ccm - shift
+        top = np.concatenate((gp, gm), axis=-1)
+        a0 = -0.5 * s.T @ np.concatenate((top, np.concatenate((gm, gm), axis=-1)), axis=-2) @ s
+        a0 = 0.5 * (a0 + np.swapaxes(a0, -1, -2))
+        return np.concatenate((a0.reshape(-1, 4 * d * d), (top @ s).reshape(-1, 2 * d * d),
+                               ccm.reshape(-1, d * d)), axis=-1)
+
+    g_part = forms(_ccm_matrix(np.eye(d * d).reshape(d * d, d, d)), 0.0).T
+    m_part = g_part.copy()
+    m_part[: 6 * d * d] = 0.0  # m enters ccm(g + m) alone
+    lin = np.concatenate((g_part, m_part), axis=1)
+    const = forms(np.zeros((d, d), dtype=complex), sigma1)[0]
+    lin.flags.writeable = const.flags.writeable = False
+    return lin, const
 
 
 def _char_forms(g, m=None):
     """Quadratic forms of the kernel characteristic function and the detect correction.
 
     Returns A0, with chi = exp(v A0 v / 2), for a kernel CM g; given a detect
-    CM m as well, returns (A0, Af) with f = v Af v / 2. Both complex CMs come
-    from one call on the stack (g, m).
+    CM m as well, returns (A0, Af) with f = v Af v / 2. One matmul by the
+    constant maps of :func:`_form_maps` gives A0, L and ccm(g + m), and
+    Af = L^T ccm(g + m)^-1 L / 2.
     """
-    n = g.shape[0] // 2
-    ccm = _ccm_matrix(g if m is None else np.stack((g, m)))
-    ccm_g = ccm if m is None else ccm[0]
-    gp = ccm_g + _sigma1_in(n)
-    gm = ccm_g - _sigma1_in(n)
-    s = _pq_maps(n)
-    top = np.hstack((gp, gm))
-    a0 = -0.5 * s.T @ np.vstack((top, np.hstack((gm, gm)))) @ s
-    a0 = 0.5 * (a0 + a0.T)
+    d = g.shape[0]
+    lin, const = _form_maps(d // 2)
+    x = np.concatenate((g.ravel(), (np.zeros_like(g) if m is None else m).ravel()))
+    forms = lin @ x + const
+    a0 = forms[: 4 * d * d].reshape(2 * d, 2 * d)
     if m is None:
         return a0
-    lmap = top @ s
-    af = 0.5 * lmap.T @ np.linalg.solve(ccm_g + ccm[1], lmap)
-    return a0, 0.5 * (af + af.T)
+    lmap = forms[4 * d * d : 6 * d * d].reshape(d, 2 * d)
+    af = lmap.T @ np.linalg.solve(forms[6 * d * d :].reshape(d, d), lmap)
+    return a0, 0.25 * (af + af.T)  # the half of L^T ccm^-1 L, symmetrized
 
 
 def q_char_zero(gamma_g, eps, xi, eta, zeta):
@@ -110,29 +116,35 @@ def _count_alpha(s):
     return k + m + m + k
 
 
+@lru_cache
+def _alpha_layout(alpha):
+    """Taylor-table size, caps and live-block indices of an exponent vector.
+
+    A variable with count 0 is set to 0, so the table runs over the others
+    alone; the indices pick their block out of a flattened 4n x 4n form.
+    """
+    live = np.flatnonzero(alpha)
+    block = (live[:, None] * len(alpha) + live).ravel()
+    block.flags.writeable = False
+    return math.prod(a + 1 for a in alpha), tuple(alpha[i] for i in live), block
+
+
 def ngpasg_trace_finite(s, gamma_m):
     """Tr(rho M) for a photon-added/subtracted state against a Gaussian operator."""
-    alpha = _count_alpha(s)
-    if np.prod(np.add(alpha, 1.0)) > MAX_TABLE_SIZE:
+    size, caps, block = _alpha_layout(_count_alpha(s))
+    if size > MAX_TABLE_SIZE:
         raise UnsupportedOrder(
             f"photon counts need a Taylor table above {MAX_TABLE_SIZE} entries"
         )
-    g = s.kernel.entries
     m = gamma_m.entries if isinstance(gamma_m, CovarianceMatrix) else np.asarray(gamma_m, float)
-    n = s.n
-    det = float(np.linalg.det(g + m))
-    if abs(det) < 1e-300:
-        raise SingularSum("det(gamma_G + gamma_M) vanishes")
-    overlap = 2.0**n / np.sqrt(abs(det))
-    if s.total_order == 0:
-        return float(overlap)
-    a0, af = _char_forms(g, m)
-    # both coefficients carry the same 1/sqrt(alpha!), which cancels; a variable
-    # with count 0 is set to 0, so the table runs over the others alone
-    live = np.flatnonzero(alpha)
-    sub = np.stack((a0 + af, a0))[:, live[:, None], live]
-    caps = tuple(alpha[i] for i in live)
-    numer, denom = gaussian_taylor(sub, caps)[(Ellipsis,) + caps]
+    overlap = gaussian_overlap(s.kernel, m)
+    if not caps:
+        return overlap
+    a0, af = _char_forms(s.kernel.entries, m)
+    a0 = a0.take(block)
+    forms = np.concatenate((a0 + af.take(block), a0)).reshape(2, len(caps), len(caps))
+    # both coefficients carry the same 1/sqrt(alpha!), which cancels
+    numer, denom = gaussian_taylor(forms, caps)[(Ellipsis,) + caps]
     if abs(denom) < 1e-300:
         raise SingularSum("normalization coefficient vanishes")
     ratio = numer / denom
@@ -142,13 +154,8 @@ def ngpasg_trace_finite(s, gamma_m):
 
 
 def ngpasg_trace_limit(s, gamma_m):
-    """Large-detect-operator limit: 2^n / sqrt|det(gamma_G + gamma_M)|, count-free."""
-    g = s.kernel.entries
-    m = gamma_m.entries if isinstance(gamma_m, CovarianceMatrix) else np.asarray(gamma_m, float)
-    det = float(np.linalg.det(g + m))
-    if abs(det) < 1e-300:
-        raise SingularSum("det(gamma_G + gamma_M) vanishes")
-    return float(2.0**s.n / np.sqrt(abs(det)))
+    """Large-detect-operator limit: 2^n / sqrt(det(gamma_G + gamma_M)), count-free."""
+    return gaussian_overlap(s.kernel, gamma_m)
 
 
 def kernel_verdict(gamma, tol=1e-9):

@@ -241,43 +241,134 @@ def _ccm_matrix(entries):
     return out
 
 
+# terms one plan step gathers per table, n for each entry it fills: this bounds
+# the step's temporaries, which are fresh memory on every call when they are large
+_STEP_TERMS = 4096
+# plans kept between calls, least recently used first, with their bytes; a plan
+# above _PLAN_CACHE_BYTES serves its own call only
+_PLAN_CACHE_BYTES = 16 << 20
+_plans = {}
+
+
+def _degree_groups(dims, strides):
+    """Flat offsets of the sub-box with these dims, grouped by degree.
+
+    Returns (flat, start, count): flat sorted by degree; degree s occupies
+    flat[start[s] : start[s] + count[s]].
+    """
+    idx = np.indices(dims).reshape(len(dims), math.prod(dims))
+    deg = idx.sum(axis=0)
+    order = np.argsort(deg, kind="stable")
+    count = np.bincount(deg, minlength=sum(dims) - len(dims) + 1)
+    return (strides @ idx)[order], np.cumsum(count) - count, count
+
+
+def _build_plan(caps):
+    """The level plan of gaussian_taylor for caps: even degrees only, in order.
+
+    Entry b = a + e_i, with i the last nonzero axis of b, takes
+    T[b] = sum_j g_ij sqrt(a_j) T[a - e_j] / sqrt(b_i) from degree |b| - 2.
+    Entries are stored degree by degree, each degree sorted by flat box
+    position. A step fills entries lo:hi, all of one degree, from the
+    previous degree, stored at plo:lo; it holds the indices of a - e_j
+    there and of g_ij sqrt(a_j) in gaussian_taylor's weight table, with
+    rows ordered j = i, then the other axes in order, and b_i. A term with
+    a_j = 0 takes weight index 0, a sqrt(0) weight, and source 0.
+    Returns (steps, flat box positions of the entries, the flat indices of
+    g's lower triangle, sqrt(0..max caps), bytes).
+    """
+    n = len(caps)
+    dims = tuple(c + 1 for c in caps)
+    strides = np.array([math.prod(dims[k + 1 :]) for k in range(n)], dtype=np.int64)
+    top = max(caps, default=0)
+    npairs = n * (n + 1) // 2
+    w_t = np.min_scalar_type(npairs * (top + 1) - 1)
+    half = n // 2
+    left, _, left_count = _degree_groups(dims[:half], strides[:half])
+    right, right_start, right_count = _degree_groups(dims[half:], strides[half:])
+    left_deg = np.repeat(np.arange(len(left_count)), left_count)
+    rows = np.arange(n)[:, None]
+    levels, steps, lo, plo = [np.zeros(1, np.int64)], [], 1, 0
+    for d in range(2, sum(caps) + 1, 2):
+        # pair each entry of the left axes, of degree s, with the right ones of degree d - s
+        s = np.clip(d - left_deg, 0, len(right_count) - 1)
+        cnt = np.where(d - left_deg == s, right_count[s], 0)
+        first = np.cumsum(cnt) - cnt
+        at = np.arange(cnt.sum()) - np.repeat(first - right_start[s], cnt)
+        level = np.sort(np.repeat(left, cnt) + right[at])
+        if len(level) == 1:
+            # numpy sums the terms of a single entry pairwise and those of several
+            # in order; a second copy keeps every step, and every stack, in order
+            level = np.repeat(level, 2)
+        prev = levels[-1]
+        src_t = np.min_scalar_type(len(prev) - 1)
+        for pos in np.array_split(level, max(1, len(level) * n // _STEP_TERMS)):
+            b = pos[:, None] // strides % dims
+            i = n - 1 - np.argmax(b[:, ::-1] > 0, axis=1)
+            bi = b[np.arange(len(pos)), i]
+            j = np.where(rows == 0, i, rows - 1 + (rows - 1 >= i))
+            aj = np.take_along_axis(b.T, j, axis=0) - (j == i)
+            live = aj > 0
+            src = np.searchsorted(prev, pos - strides[i] - strides[j])
+            steps.append((plo, lo, lo + len(pos), np.where(live, src, 0).astype(src_t),
+                          np.where(live, aj * npairs + i * (i + 1) // 2 + j, 0).astype(w_t),
+                          bi.astype(np.min_scalar_type(top))))
+            lo += len(pos)
+        plo = lo - len(level)
+        levels.append(level)
+    positions = np.concatenate(levels).astype(np.min_scalar_type(math.prod(dims) - 1))
+    nbytes = positions.nbytes + sum(x.nbytes for step in steps for x in step[3:])
+    ti, tj = np.tril_indices(n)
+    return steps, positions, ti * n + tj, np.sqrt(np.arange(top + 1.0)), nbytes
+
+
+def _taylor_plan(caps):
+    """The plan of :func:`_build_plan`, cached within _PLAN_CACHE_BYTES."""
+    plan = _plans.pop(caps, None)
+    if plan is None:
+        plan = _build_plan(caps)
+        if plan[-1] > _PLAN_CACHE_BYTES:
+            return plan
+        while sum(p[-1] for p in _plans.values()) + plan[-1] > _PLAN_CACHE_BYTES:
+            del _plans[next(iter(_plans))]
+    _plans[caps] = plan
+    return plan
+
+
 def gaussian_taylor(g, caps):
     """Normalized Taylor coefficients of exp(v^T g v / 2) at v = 0.
 
     Returns the table T[a] = d^a exp(v^T g v / 2)|_0 / sqrt(a!) for every
     multi-index 0 <= a_i <= caps[i]; g is symmetric, real or complex. The
-    table is filled one axis at a time by the recurrence
-    T(a + e_i) = [sum_j g_ij sqrt(a_j) T(a - e_j)] / sqrt(a_i + 1)
-    (Miatto & Quesada, Quantum 4, 366 (2020)); while axis i is filled every
-    later axis is still at 0, so only j <= i contribute. A stack of matrices,
-    g of shape (..., n, n), gives a stack of tables: the leading axes of g
-    lead the table, and each table is the one its matrix gives alone.
+    recurrence T(a + e_i) = [sum_j g_ij sqrt(a_j) T(a - e_j)] / sqrt(a_i + 1)
+    (Miatto & Quesada, Quantum 4, 366 (2020)) fills the table degree by
+    degree, with i the last nonzero axis of a + e_i, so only j <= i
+    contribute. Odd degrees vanish and are never computed. The steps come
+    from a plan built once per caps. A stack of matrices, g of shape
+    (..., n, n), gives a stack of tables: the leading axes of g lead the
+    table, and each table is the one its matrix gives alone.
     """
     g = np.asarray(g)
     caps = tuple(int(c) for c in caps)
-    n = len(caps)
     lead = g.shape[:-2]
-    t = np.zeros(lead + tuple(c + 1 for c in caps), dtype=np.result_type(g.dtype, float))
-    t[(Ellipsis,) + (0,) * n] = 1.0
-    root = np.sqrt(np.arange(max(caps, default=0) + 1.0))
-    # g_ij broadcast against the i axes of a table slice; plain scalars without batch axes
-    coef = [[g[..., i, j].reshape(lead + (1,) * i) if lead else g[i, j] for j in range(i + 1)]
-            for i in range(n)]
-    pre = (slice(None),) * len(lead)
-    for i in range(n):
-        block = t[pre + (slice(None),) * (i + 1) + (0,) * (n - i - 1)]
-        # per earlier axis j: where a_j - 1 and a_j sit in a slice, and g_ij sqrt(a_j)
-        terms = [(pre + (slice(None),) * j + (slice(1, None),),
-                  pre + (slice(None),) * j + (slice(None, -1),),
-                  coef[i][j] * root[1 : caps[j] + 1].reshape((-1,) + (1,) * (i - j - 1)))
-                 for j in range(i)]
-        for s in range(caps[i]):
-            cur, nxt = block[..., s], block[..., s + 1]
-            if s:
-                nxt += coef[i][i] * root[s] * block[..., s - 1]
-            for upper, lower, w in terms:
-                nxt[upper] += w * cur[lower]
-            nxt /= root[s + 1]
+    stack = math.prod(lead)
+    steps, positions, tril, root, _ = _taylor_plan(caps)
+    dtype = np.result_type(g.dtype, float)
+    box = tuple(x + 1 for x in caps)
+    t = np.zeros(lead + box, dtype=dtype)
+    # the even-degree entries in plan order, each a row over the stack, so
+    # that a degree is a contiguous block
+    c = np.empty((positions.size, stack), dtype=dtype)
+    c[0] = 1.0
+    if steps:
+        # g_ij sqrt(a) at a * len(tril) + the index of (i, j) in tril
+        pairs = g.reshape(stack, len(caps) ** 2).take(tril, axis=1).T
+        weights = (root[:, None, None] * pairs).reshape(root.size * tril.size, stack)
+        for plo, lo, hi, src, widx, bi in steps:
+            terms = weights.take(widx, axis=0)
+            terms *= c[plo:lo].take(src, axis=0)
+            np.divide(terms.sum(axis=0), root.take(bi)[:, None], out=c[lo:hi])
+    t.reshape(stack, math.prod(box)).T[positions] = c
     return t
 
 
@@ -295,13 +386,19 @@ def from_complex_cm(ccm):
 
 
 def gaussian_overlap(g1, g2):
-    """Tr(rho_G M) for zero-mean Gaussian CMs: 2^n det(g1+g2)^(-1/2)."""
+    """Tr(rho_G M) for zero-mean Gaussian CMs: 2^n det(g1+g2)^(-1/2).
+
+    Raises SingularSum unless g1 + g2 is positive definite; sqrt(det) is the
+    product of the diagonal of its Cholesky factor.
+    """
     e1 = g1.entries if isinstance(g1, CovarianceMatrix) else np.asarray(g1, float)
     e2 = g2.entries if isinstance(g2, CovarianceMatrix) else np.asarray(g2, float)
     if e1.shape != e2.shape:
         raise ValueError("mode counts differ")
-    n = e1.shape[0] // 2
-    d = float(np.linalg.det(e1 + e2))
-    if d <= 1e-300:
-        raise SingularSum("det(gamma1 + gamma2) is not positive")
-    return float(2.0**n / np.sqrt(d))
+    try:
+        root = math.prod(np.linalg.cholesky(e1 + e2).diagonal().tolist())
+    except np.linalg.LinAlgError:  # the sum is not positive definite
+        root = 0.0
+    if not root > 1e-150:
+        raise SingularSum("gamma1 + gamma2 is not positive definite")
+    return 2.0 ** (e1.shape[0] // 2) / root

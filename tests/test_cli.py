@@ -126,6 +126,22 @@ def test_check_nongaussian_with_schedule(tmp_path, capsys):
     assert report["criteria"][0]["classification"] == "entangled"
 
 
+@pytest.mark.parametrize("schedule", ["nan,-10", "10,0", "inf", "-1e3", "1e400"])
+def test_check_nongaussian_rejects_bad_schedule(tmp_path, capsys, schedule):
+    # lambda * I is a detect operator only for finite lambda > 0; the report
+    # would otherwise hold bare NaN, which is not JSON
+    doc = {"family": "ngpasg", "kernel": {"family": "squeezed_thermal", "a": 2, "b": 2, "c": 1.2},
+           "add": [1, 1], "sub": [0, 0]}
+    inp = write_json(tmp_path / "s.json", doc)
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check-nongaussian", "--input", inp, "--output", str(out),
+                  f"--schedule={schedule}"])
+    assert exc.value.code == 2
+    assert "finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_witness_optimize(tmp_path, capsys):
     inp = write_json(tmp_path / "s.json", {"family": "squeezed_thermal", "a": 2, "b": 2, "c": 0.5})
     out = str(tmp_path / "r.json")

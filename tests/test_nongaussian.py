@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cvwitness import families, nongaussian
-from cvwitness.errors import UnsupportedOrder
+from cvwitness.errors import SingularSum, UnsupportedOrder
 from cvwitness.nongaussian import NGPASGSpec
-from cvwitness.symplectic import gaussian_overlap, gaussian_taylor, validate_cm
+from cvwitness.symplectic import _ccm_matrix, gaussian_overlap, gaussian_taylor, validate_cm
 
 from oracles import ladder, single_mode_gaussian_rho, two_mode_squeezed_thermal_rho
 
@@ -228,3 +228,65 @@ def test_pruned_table_matches_full_table():
             gm = lam * np.eye(2 * s.n)
             got = nongaussian.ngpasg_trace_finite(s, gm)
             assert abs(got - full_table_trace(s, gm)) <= 1e-15 * abs(got)
+
+
+def matmul_char_forms(g, m=None):
+    """_char_forms from the complex CMs by block stacking and matmuls.
+
+    S sends v = (eps, xi, eta, zeta) to (eps, -zeta, eta, -xi); with
+    g+- = ccm(g) +- sigma1, A0 = -S^T [[g+, g-], [g-, g-]] S / 2 and, for a
+    detect CM m, Af = L^T (ccm(g) + ccm(m))^-1 L / 2 with L = [g+, g-] S.
+    """
+    n = g.shape[0] // 2
+    z, i = np.zeros((n, n)), np.eye(n)
+    s = np.block([[i, z, z, z], [z, z, z, -i], [z, z, i, z], [z, -i, z, z]]).astype(complex)
+    sigma1 = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), i)
+    ccm = _ccm_matrix(g if m is None else np.stack((g, m)))
+    ccm_g = ccm if m is None else ccm[0]
+    gp, gm = ccm_g + sigma1, ccm_g - sigma1
+    top = np.hstack((gp, gm))
+    a0 = -0.5 * s.T @ np.vstack((top, np.hstack((gm, gm)))) @ s
+    a0 = 0.5 * (a0 + a0.T)
+    if m is None:
+        return a0
+    lmap = top @ s
+    af = 0.5 * lmap.T @ np.linalg.solve(ccm_g + ccm[1], lmap)
+    return a0, 0.5 * (af + af.T)
+
+
+def random_cm(rng, n, floor):
+    m = rng.normal(size=(2 * n, 2 * n))
+    return m @ m.T + floor * np.eye(2 * n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_char_forms_match_matmul_forms(n):
+    rng = np.random.default_rng(60 + n)
+    for _ in range(10):
+        g = validate_cm(random_cm(rng, n, 1.0)).entries
+        for m in (rng.uniform(1.0, 1e4) * np.eye(2 * n), random_cm(rng, n, 0.5)):
+            for got, want in zip(nongaussian._char_forms(g, m), matmul_char_forms(g, m)):
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        got, want = nongaussian._char_forms(g), matmul_char_forms(g)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_q_char_zero_matches_matmul_forms(n):
+    # x and p blocks equal, no x-p correlations: the form is real for real v
+    rng = np.random.default_rng(70 + n)
+    for _ in range(10):
+        g = np.kron(random_cm(rng, n, 1.0)[:n, :n] + np.eye(n), np.eye(2))
+        v = [0.3 * rng.normal(size=n) for _ in range(4)]
+        x = np.concatenate(v)
+        want = np.exp(0.5 * x @ matmul_char_forms(validate_cm(g).entries) @ x)
+        assert nongaussian.q_char_zero(g, *v) == pytest.approx(want.real, rel=1e-15)
+
+
+@pytest.mark.parametrize("gm", [np.diag([-3.0, 1.0]),   # det(gamma_G + gamma_M) < 0
+                                -3.0 * np.eye(2)])       # det > 0, negative definite
+def test_traces_reject_sum_not_positive_definite(gm):
+    s = NGPASGSpec(kernel=validate_cm(np.eye(2)), adds=(1,), subs=(0,))
+    for trace in (nongaussian.ngpasg_trace_finite, nongaussian.ngpasg_trace_limit):
+        with pytest.raises(SingularSum):
+            trace(s, gm)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvwitness import families
-from cvwitness.errors import DegenerateBlock, NotPhysical, NotSymmetric, OddDimension
+from cvwitness import families, symplectic
+from cvwitness.errors import (DegenerateBlock, NotPhysical, NotSymmetric, OddDimension,
+                              SingularSum)
 from cvwitness.symplectic import (
     ComplexCM,
     CovarianceMatrix,
@@ -211,6 +212,32 @@ def test_gaussian_overlap_against_fock_oracle():
         assert gaussian_overlap(g1, g2) == pytest.approx(brute, abs=1e-8)
 
 
+@pytest.mark.parametrize("g1, g2", [
+    (np.eye(2), np.diag([-3.0, 1.0])),              # det(g1 + g2) < 0
+    (np.eye(2), -3.0 * np.eye(2)),                  # det > 0, negative definite
+    (np.eye(4), np.diag([-2.0, -2.0, 3.0, 3.0])),   # det > 0, indefinite
+    (np.eye(2), -np.eye(2)),                        # singular
+])
+def test_gaussian_overlap_rejects_sum_not_positive_definite(g1, g2):
+    with pytest.raises(SingularSum):
+        gaussian_overlap(g1, g2)
+
+
+def test_gaussian_overlap_against_50_digit_determinant():
+    # sqrt(det) from the Cholesky factor; an LU determinant at lambda = 1e4
+    # is off by up to 3e-15
+    rng = np.random.default_rng(31)
+    for n in (1, 2):
+        for lam in (10.0, 1e4):
+            for _ in range(10):
+                m = rng.normal(size=(2 * n, 2 * n))
+                g = m @ m.T + np.eye(2 * n)
+                with mpmath.workdps(50):
+                    det = mpmath.det(mpmath.matrix((g + lam * np.eye(2 * n)).tolist()))
+                    want = float(2**n / mpmath.sqrt(det))
+                assert abs(gaussian_overlap(g, lam * np.eye(2 * n)) - want) <= 1e-15 * want
+
+
 def test_oracle_cm_reconstruction():
     g = np.array([[1.8, 0.3], [0.3, 1.2]])
     rho = single_mode_gaussian_rho(g, 40)
@@ -240,6 +267,81 @@ def test_gaussian_taylor_batch_equals_slices(lead, dtype, caps):
     assert table.dtype == np.dtype(dtype)
     for idx in np.ndindex(*lead):
         assert np.array_equal(table[idx], gaussian_taylor(g[idx], caps))
+
+
+def slice_taylor(g, caps):
+    """gaussian_taylor by axis-by-axis slice updates of the whole table.
+
+    While axis i is filled every later axis is still at 0, so only j <= i
+    contribute to T(a + e_i) = [sum_j g_ij sqrt(a_j) T(a - e_j)] / sqrt(a_i + 1).
+    """
+    g = np.asarray(g)
+    n = len(caps)
+    lead = g.shape[:-2]
+    t = np.zeros(lead + tuple(c + 1 for c in caps), dtype=np.result_type(g.dtype, float))
+    t[(Ellipsis,) + (0,) * n] = 1.0
+    root = np.sqrt(np.arange(max(caps, default=0) + 1.0))
+    coef = [[g[..., i, j].reshape(lead + (1,) * i) if lead else g[i, j] for j in range(i + 1)]
+            for i in range(n)]
+    pre = (slice(None),) * len(lead)
+    for i in range(n):
+        block = t[pre + (slice(None),) * (i + 1) + (0,) * (n - i - 1)]
+        terms = [(pre + (slice(None),) * j + (slice(1, None),),
+                  pre + (slice(None),) * j + (slice(None, -1),),
+                  coef[i][j] * root[1 : caps[j] + 1].reshape((-1,) + (1,) * (i - j - 1)))
+                 for j in range(i)]
+        for s in range(caps[i]):
+            cur, nxt = block[..., s], block[..., s + 1]
+            if s:
+                nxt += coef[i][i] * root[s] * block[..., s - 1]
+            for upper, lower, w in terms:
+                nxt[upper] += w * cur[lower]
+            nxt /= root[s + 1]
+    return t
+
+
+TAYLOR_CAPS = [(), (0, 0, 0), (3, 0, 2, 1), (2, 4, 0), (1,) * 8, (2,) * 8,
+               (2, 1, 1, 2, 1, 2, 2, 1), (13,) * 4]
+
+
+@pytest.mark.parametrize("lead, caps", [(lead, caps) for caps in TAYLOR_CAPS
+                                        for lead in [(), (3,), (2, 3)]]
+                         + [((24,), (5,) * 4)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_gaussian_taylor_matches_slice_recurrence(lead, caps, dtype):
+    rng = np.random.default_rng(len(caps) + 7 * len(lead))
+    n = len(caps)
+    g = 0.4 * rng.normal(size=lead + (n, n))
+    if dtype is complex:
+        g = g + 0.4j * rng.normal(size=lead + (n, n))
+    g = g + np.swapaxes(g, -1, -2)
+    table = gaussian_taylor(g, caps)
+    want = slice_taylor(g, caps)
+    assert table.shape == want.shape and table.dtype == want.dtype
+    assert np.max(np.abs(table - want), initial=0.0) <= 2e-15 * np.max(np.abs(want))
+    # exp(v^T g v / 2) is even in v: odd degrees are never filled
+    odd = np.indices(want.shape[len(lead):]).sum(axis=0) % 2 == 1
+    assert np.all(table[..., odd] == 0.0)
+
+
+def test_taylor_plan_cache_stays_within_its_bytes(monkeypatch):
+    monkeypatch.setattr(symplectic, "_PLAN_CACHE_BYTES", 130_000)
+    monkeypatch.setattr(symplectic, "_plans", {})
+    plans = symplectic._plans
+    for caps in [(2,) * 8, (13,) * 4, (5,) * 4, (2,) * 8, (3,) * 6]:
+        table = gaussian_taylor(0.1 * np.eye(len(caps)), caps)
+        assert np.array_equal(table, slice_taylor(0.1 * np.eye(len(caps)), caps))
+        assert sum(plan[-1] for plan in plans.values()) <= 130_000
+    # (13,)^4 needs 285 kB and is never kept; (3,)^6 pushed out the least
+    # recently used plan, (5,)^4, since (2,)^8 was used again after it
+    assert list(plans) == [(2,) * 8, (3,) * 6]
+
+
+def test_taylor_plan_bytes():
+    # index arrays of the smallest dtypes, one step row per term: the plan for
+    # the cutoff-14 Fock table takes fewer bytes than the float64 table it fills
+    caps = (13,) * 4
+    assert symplectic._build_plan(caps)[-1] <= 8 * 14**4
 
 
 def test_gaussian_taylor_single_mode_hermite():
