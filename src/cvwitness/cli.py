@@ -249,6 +249,8 @@ def cmd_kernel_spectrum(args):
     k = kernelspec.KernelSpec(alpha=_number(doc, "alpha", ""), r=_number(doc, "r", ""))
     count = args.cutoff if args.cutoff is not None else 10
     vals = kernelspec.nystrom_spectrum(k)
+    if count > len(vals):
+        raise SchemaError(f"--cutoff {count} exceeds the {len(vals)} Nystrom eigenvalues")
     rows = [
         (n, float(vals[n]), kernelspec.analytic_eigenvalue(k, n))
         for n in range(count)
@@ -344,7 +346,21 @@ def _parse_schedule(text):
     return lams
 
 
-_FLAG_TYPES = {"seed": int, "cutoff": int, "samples": int, "schedule": _parse_schedule}
+def _int_at_least(lo):
+    """argparse type for an integer flag of at least lo."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}")
+        return value
+    return parse
+
+
+_FLAG_TYPES = {"seed": _int_at_least(0), "cutoff": _int_at_least(1),
+               "samples": _int_at_least(1), "schedule": _parse_schedule}
 
 # each subcommand declares only the flags its handler reads
 _COMMANDS = {

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import criteria
-from .errors import SingularSum, UnsupportedOrder
+from .errors import NotPhysical, SingularSum, UnsupportedOrder
 from .symplectic import (CovarianceMatrix, _ccm_matrix, gaussian_overlap, gaussian_taylor,
                          standard_form, validate_cm)
 from . import witness
@@ -129,6 +129,17 @@ def _alpha_layout(alpha):
     return math.prod(a + 1 for a in alpha), tuple(alpha[i] for i in live), block
 
 
+def _detect_overlap(kernel, gamma_m):
+    """gamma_M as an array and the overlap Tr(rho_G M). A detect operator is
+    positive: no eigenvalue of gamma_M may lie below -1e-9, as in SixParamDetect."""
+    m = gamma_m.entries if isinstance(gamma_m, CovarianceMatrix) else np.asarray(gamma_m, float)
+    overlap = gaussian_overlap(kernel, m)
+    w = np.linalg.eigvalsh(m)[0]
+    if w < -1e-9:
+        raise NotPhysical(w)
+    return m, overlap
+
+
 def ngpasg_trace_finite(s, gamma_m):
     """Tr(rho M) for a photon-added/subtracted state against a Gaussian operator."""
     size, caps, block = _alpha_layout(_count_alpha(s))
@@ -136,8 +147,7 @@ def ngpasg_trace_finite(s, gamma_m):
         raise UnsupportedOrder(
             f"photon counts need a Taylor table above {MAX_TABLE_SIZE} entries"
         )
-    m = gamma_m.entries if isinstance(gamma_m, CovarianceMatrix) else np.asarray(gamma_m, float)
-    overlap = gaussian_overlap(s.kernel, m)
+    m, overlap = _detect_overlap(s.kernel, gamma_m)
     if not caps:
         return overlap
     a0, af = _char_forms(s.kernel.entries, m)
@@ -155,7 +165,7 @@ def ngpasg_trace_finite(s, gamma_m):
 
 def ngpasg_trace_limit(s, gamma_m):
     """Large-detect-operator limit: 2^n / sqrt(det(gamma_G + gamma_M)), count-free."""
-    return gaussian_overlap(s.kernel, gamma_m)
+    return _detect_overlap(s.kernel, gamma_m)[1]
 
 
 def kernel_verdict(gamma, tol=1e-9):

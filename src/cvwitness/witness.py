@@ -204,40 +204,48 @@ def L_ratio(gamma, d):
     return numer / denom
 
 
-def _schedule_params(m1, u):
-    """M3 and M5 of the schedule operator at (M1, u)."""
-    return 1.0 + u * u * (m1 + 1.0), u * (m1 + 1.0)
-
-
 def _schedule_detect(m1, u):
     """Paper-structured detect operator: symmetric blocks, M5^2 = (M1+1)(M3-1)."""
-    m3, m5 = _schedule_params(m1, u)
+    m3, m5 = 1.0 + u * u * (m1 + 1.0), u * (m1 + 1.0)
     return SixParamDetect(m1, m1, m3, m3, m5, m5, PositivityMode.OPERATOR_PSD)
-
-
-def _schedule_cms(m1, u):
-    """CMs (..., 4, 4) of the schedule operators at broadcast arrays m1 and u."""
-    m3, m5 = _schedule_params(m1, u)
-    cms = np.zeros(np.broadcast(m1, u).shape + (4, 4))
-    cms[..., 0, 0] = cms[..., 1, 1] = m1
-    cms[..., 2, 2] = cms[..., 3, 3] = m3
-    cms[..., 0, 2] = cms[..., 2, 0] = m5
-    cms[..., 1, 3] = cms[..., 3, 1] = -m5
-    return cms
 
 
 # The schedule's M1 values; u above sqrt(M1/(M1+1)) makes the x-sector block
 # of gamma_M indefinite, so u runs over [1e-4, hi].
 _SCHEDULE_M1 = np.array([1e2, 1e3, 1e4])
 _SCHEDULE_HI = np.sqrt(_SCHEDULE_M1 / (_SCHEDULE_M1 + 1.0)) * (1.0 - 1e-9)
-_SCHEDULE_DENOM = 4.0 * (_SCHEDULE_M1 + 1.0) ** 2
-# det(g + gamma_M) is a quartic in u, fixed by its values at five nodes per M1,
-# ends included; _SCHEDULE_DERIV maps those values to the coefficients of its
-# derivative, highest power first (inverse Vandermonde rows times 4, 3, 2, 1).
-_SCHEDULE_NODES = np.linspace(1e-4, _SCHEDULE_HI, 5, axis=-1)
-_SCHEDULE_NODE_CMS = _schedule_cms(_SCHEDULE_M1[:, None], _SCHEDULE_NODES)
-_SCHEDULE_DERIV = np.arange(4.0, 0.0, -1.0)[:, None] * np.linalg.inv(
-    _SCHEDULE_NODES[..., None] ** np.arange(4.0, -1.0, -1.0))[:, :4]
+# On the schedule gamma_M = D + K V V^T, with K = M1 + 1, D = diag(-1, -1, 1, 1)
+# and V = [e0 + u e2, e1 - u e3]. With G = g + D, the Laplace expansion of the
+# rank-two update reads
+#   det(g + gamma_M) = det G + K sum_ij W_ij det G[i', j']
+#                      + K^2 sum_ST v_S v_T det G[S', T'],
+# W = V V^T, v_S the minor of V on the row pair S, ' the complement. W_ij is 0
+# unless i = j mod 2, and the pairs with v_S != 0 have odd index sums, so no
+# cofactor sign enters. Each W_ij and v_S v_T is a signed power of u: per sum,
+# the complements, then each term's sign and power of u.
+_SCHEDULE_D = np.diag([-1.0, -1.0, 1.0, 1.0])
+_ROW_TERMS = (np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]),
+              np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0]) * np.tile(np.eye(2), (2, 2)),
+              np.add.outer([0, 0, 1, 1], [0, 0, 1, 1]))
+_PAIR_TERMS = (np.array([[2, 3], [1, 2], [0, 3], [0, 1]]),    # v_S = 1, -u, -u, -u^2
+               np.outer([1.0, -1.0, -1.0, -1.0], [1.0, -1.0, -1.0, -1.0]),
+               np.add.outer([0, 1, 1, 2], [0, 1, 1, 2]))
+
+
+def _minor_quartic(G, complements, signs, powers):
+    """Coefficients, lowest power first, of sum_ST signs_ST u^powers_ST det G[S', T']."""
+    minors = np.linalg.det(G[complements[:, None, :, None], complements[None, :, None, :]])
+    return np.bincount(powers.ravel(), (signs * minors).ravel(), minlength=5)
+
+
+def _schedule_quartics(g):
+    """Coefficients (3, 5), lowest power first, of det(g + gamma_M) / (4 (M1+1)^2)
+    as quartics in u, one row per schedule M1."""
+    G = g + _SCHEDULE_D
+    k = _SCHEDULE_M1[:, None] + 1.0
+    coeffs = _minor_quartic(G, *_PAIR_TERMS) + _minor_quartic(G, *_ROW_TERMS) / k
+    coeffs[:, :1] += np.linalg.det(G) / (k * k)
+    return 0.25 * coeffs
 
 
 def _cubic_roots(d):
@@ -275,26 +283,16 @@ def minimize_L(gamma):
     c = 0.5 * (sf.c1 + sf.c2)
     g = gamma.entries if isinstance(gamma, CovarianceMatrix) else sf.to_cm()
 
-    # det(g + gamma_M) is least at an end or a real stationary point: compare
-    # the nodes with every stationary point of the quartic through them
-    # (complex ones clipped, as spare candidates)
-    node_dets = np.linalg.det(g + _SCHEDULE_NODE_CMS)
-    roots = _cubic_roots((_SCHEDULE_DERIV @ node_dets[..., None])[..., 0])
-    stationary = np.clip(roots.real, 1e-4, _SCHEDULE_HI[:, None])
-    cms = _schedule_cms(_SCHEDULE_M1[:, None], stationary)
-    # gamma_M >= 0 as SixParamDetect checks it, for every stationary point at
-    # once (the nodes do not depend on gamma; tests check them)
-    w = np.linalg.eigvalsh(cms)[..., 0].ravel()
-    bad = np.flatnonzero(w < -1e-9)
-    if bad.size:
-        raise NotPhysical(w[bad[0]])
     # The sector factors of det(gamma_M + diag(x, 1/x, y, 1/y)) are posynomials
     # in (x, y), with constant term M1 - u^2 (M1+1) >= 0 up to hi, that trade
     # places under (x, y) -> (1/x, 1/y); so the log-convex determinant is least
     # at x = y = 1, where it is 4 (M1+1)^2 for every u.
-    vals = np.concatenate((node_dets, np.linalg.det(g + cms)), axis=-1)
-    vals /= _SCHEDULE_DENOM[:, None]
-    us = np.concatenate((_SCHEDULE_NODES, stationary), axis=-1)
+    coeffs = _schedule_quartics(g)
+    # the quartic is least at an end or a real stationary point (complex ones
+    # clipped, as spare candidates); the clip takes the ends in as 0 and inf
+    roots = _cubic_roots(coeffs[:, :0:-1] * np.arange(4.0, 0.0, -1.0))
+    us = np.clip(np.hstack(([[0.0, np.inf]] * 3, roots.real)), 1e-4, _SCHEDULE_HI[:, None])
+    vals = (us[..., None] ** np.arange(5) * coeffs[:, None]).sum(axis=-1)
     k, i = divmod(int(np.argmin(vals)), vals.shape[-1])
     best_val = float(vals[k, i])
     best_d = _schedule_detect(float(_SCHEDULE_M1[k]), float(us[k, i]))

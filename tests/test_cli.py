@@ -150,6 +150,17 @@ def test_witness_optimize(tmp_path, capsys):
     assert report["L"] > 1.0
 
 
+def test_witness_optimize_vacuum_margin_is_zero(tmp_path, capsys):
+    # det(1 + gamma_M) / (4 (M1+1)^2) is exactly 1 on the whole schedule
+    inp = write_json(tmp_path / "s.json", {"cm": np.eye(4).tolist()})
+    out = tmp_path / "r.json"
+    assert cli.main(["witness-optimize", "--input", inp, "--output", str(out)]) == 0
+    text = out.read_text()
+    assert '"margin": 0.0' in text and '"L": 1.0' in text
+    report = json.loads(text)
+    assert report["L"] == 1.0 and report["criteria"][0]["margin"] == 0.0
+
+
 def test_kernel_spectrum_csv(tmp_path):
     inp = write_json(tmp_path / "k.json", {"alpha": 1.0, "r": 0.5})
     out = str(tmp_path / "spec.csv")
@@ -253,3 +264,27 @@ def test_check_gaussian_unphysical_family_exit_code(tmp_path, capsys, doc):
 
 def test_ghz_params_validate():
     assert GHZParams(n=3, a=2.0, c=0.3).validate() == GHZParams(n=3, a=2.0, c=0.3)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["kernel-spectrum", "--cutoff", "300"], 1, "error: --cutoff 300 exceeds the 256 Nystrom"),
+    (["kernel-spectrum", "--cutoff", "-3"], 2, "--cutoff: must be an integer >= 1"),
+    (["fock-iterate", "--seed", "1", "--cutoff", "0"], 2, "--cutoff: must be an integer >= 1"),
+    (["sweep-fig1", "--seed", "1", "--cutoff", "0"], 2, "--cutoff: must be an integer >= 1"),
+    (["sweep-fig1", "--seed", "1", "--samples", "-2"], 2, "--samples: must be an integer >= 1"),
+    (["fock-iterate", "--seed", "-1"], 2, "--seed: must be an integer >= 0"),
+], ids=["spectrum-cutoff-300", "spectrum-cutoff--3", "iterate-cutoff-0", "sweep-cutoff-0",
+        "sweep-samples--2", "iterate-seed--1"])
+def test_integer_flags_reject_out_of_range(tmp_path, capsys, argv, code, message):
+    out = tmp_path / "out"
+    argv = argv + ["--output", str(out)]
+    if argv[0] == "kernel-spectrum":
+        argv += ["--input", write_json(tmp_path / "k.json", {"alpha": 1.0, "r": 0.5})]
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == code
+    assert message in err and "Traceback" not in err
+    assert not out.exists()

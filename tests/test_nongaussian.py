@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cvwitness import families, nongaussian
-from cvwitness.errors import SingularSum, UnsupportedOrder
+from cvwitness.errors import NotPhysical, SingularSum, UnsupportedOrder
 from cvwitness.nongaussian import NGPASGSpec
 from cvwitness.symplectic import _ccm_matrix, gaussian_overlap, gaussian_taylor, validate_cm
 
@@ -290,3 +290,17 @@ def test_traces_reject_sum_not_positive_definite(gm):
     for trace in (nongaussian.ngpasg_trace_finite, nongaussian.ngpasg_trace_limit):
         with pytest.raises(SingularSum):
             trace(s, gm)
+
+
+def test_traces_reject_detect_cm_not_positive_semidefinite(monkeypatch):
+    # gamma_G + gamma_M = 0.5 I is positive definite, but gamma_M = -0.5 I is
+    # no detect operator (the traces read -12.0 and 4.0 if let through); the
+    # check comes before any Taylor table
+    def no_table(*args):
+        raise AssertionError("table built for a detect CM that is not PSD")
+
+    monkeypatch.setattr(nongaussian, "gaussian_taylor", no_table)
+    s = NGPASGSpec(kernel=validate_cm(np.eye(2)), adds=(1,), subs=(0,))
+    for trace in (nongaussian.ngpasg_trace_finite, nongaussian.ngpasg_trace_limit):
+        with pytest.raises(NotPhysical):
+            trace(s, -0.5 * np.eye(2))

@@ -1,6 +1,7 @@
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -250,13 +251,14 @@ def test_schedule_denominator_is_closed_form():
         assert abs(lam * (m1 + 1.0) / 2.0 - 1.0) < 1e-11
 
 
-def test_schedule_cms_match_schedule_detect():
-    m1 = np.array(SCHEDULE_M1)[:, None]
-    us = np.linspace(1e-4, 0.99, 7)
-    cms = witness._schedule_cms(m1, us)
-    assert cms.shape == (len(SCHEDULE_M1), 7, 4, 4)
-    for i, j in np.ndindex(*cms.shape[:2]):
-        assert np.array_equal(cms[i, j], witness._schedule_detect(m1[i, 0], us[j]).cm())
+def test_schedule_detect_builds_at_interval_ends():
+    # minimize_L validates only its winner; both sector blocks of gamma_M have
+    # determinant M1 - u^2 (M1+1), falling in u, so positive ends cover [1e-4, hi]
+    assert np.array_equal(witness._SCHEDULE_HI, [schedule_u_max(m1) for m1 in SCHEDULE_M1])
+    for m1, hi in zip(witness._SCHEDULE_M1, witness._SCHEDULE_HI):
+        for u in (1e-4, hi):
+            d = witness._schedule_detect(float(m1), float(u))
+            assert d.m1 - u * u * (m1 + 1.0) > 0.0
 
 
 def local_symplectic(rng):
@@ -300,15 +302,22 @@ def minimize_L_inputs():
 
 
 def schedule_ratios(g, m1, us):
-    """det(g + gamma_M) / (4 (M1+1)^2) for the schedule operators at each u."""
-    m = np.zeros((us.size, 4, 4)) + g
-    m[:, 0, 0] += m1
-    m[:, 1, 1] += m1
-    m[:, 2, 2] += 1.0 + us * us * (m1 + 1.0)
-    m[:, 3, 3] += 1.0 + us * us * (m1 + 1.0)
-    for i, j, sign in ((0, 2, 1.0), (2, 0, 1.0), (1, 3, -1.0), (3, 1, -1.0)):
-        m[:, i, j] += sign * us * (m1 + 1.0)
-    return np.linalg.det(m) / (4.0 * (m1 + 1.0) ** 2)
+    """det(g + gamma_M) / (4 (M1+1)^2) for the schedule operators at each u.
+
+    gamma_M = D + K V V^T with K = M1 + 1, D = diag(-1, -1, 1, 1) and
+    V = [e0 + u e2, e1 - u e3]; by the Schur complement the ratio is a quarter
+    of det [[g + D, V], [-V^T, I/K]], whose entries are O(1).
+    """
+    k = m1 + 1.0
+    v = np.zeros((us.size, 4, 2))
+    v[:, 0, 0] = v[:, 1, 1] = 1.0
+    v[:, 2, 0], v[:, 3, 1] = us, -us
+    m = np.zeros((us.size, 6, 6))
+    m[:, :4, :4] = g + np.diag([-1.0, -1.0, 1.0, 1.0])
+    m[:, :4, 4:] = v
+    m[:, 4:, :4] = -np.swapaxes(v, 1, 2)
+    m[:, 4, 4] = m[:, 5, 5] = 1.0 / k
+    return 0.25 * np.linalg.det(m)
 
 
 def test_minimize_L_is_schedule_minimum():
@@ -341,33 +350,47 @@ def polyfit_minimize_L(state):
     return best
 
 
-def test_schedule_nodes_are_positive():
-    # minimize_L checks gamma_M >= 0 only at stationary points; the nodes are fixed
-    assert np.linalg.eigvalsh(witness._SCHEDULE_NODE_CMS)[..., 0].min() >= -1e-9
-    assert np.array_equal(witness._SCHEDULE_NODES[:, -1],
-                          [schedule_u_max(m1) for m1 in SCHEDULE_M1])
-
-
-@pytest.mark.parametrize("exact_zero", [False, True])
+@pytest.mark.parametrize("nudged", [False, True])
 @pytest.mark.parametrize("state", [validate_cm(np.eye(4)), StandardForm(1.0, 1.0, 0.0, 0.0),
                                    StandardForm(1.0, 2.0, 0.0, 0.0)])
-def test_minimize_L_rounding_level_quartic(state, exact_zero, monkeypatch):
-    # the quartic is constant in u here, so its derivative's coefficients,
-    # the leading one included, are rounding noise; no division may warn.
-    # exact_zero makes the leading coefficient exactly 0 for every M1.
-    if exact_zero:
-        deriv = witness._SCHEDULE_DERIV.copy()
-        deriv[:, 0] = 0.0
-        monkeypatch.setattr(witness, "_SCHEDULE_DERIV", deriv)
+def test_minimize_L_rounding_level_quartic(state, nudged):
+    # the quartic is constant in u here: its minors leave the derivative
+    # exactly 0. Nudged at the 1e-13 level, the derivative's coefficients, the
+    # leading one included, are rounding-level but nonzero; no division may warn.
     g = state.to_cm() if isinstance(state, StandardForm) else state.entries
-    dets = np.linalg.det(g + witness._SCHEDULE_NODE_CMS)
-    deriv = (witness._SCHEDULE_DERIV @ dets[..., None])[..., 0]
-    assert np.all(np.abs(deriv).max(axis=-1) <= 1e-9 * dets.max(axis=-1))
+    if nudged:
+        noise = 1e-14 * np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 4))
+        g = g + 1e-13 * np.eye(4) + noise + noise.T
+        state = validate_cm(g)
+    coeffs = witness._schedule_quartics(g)
+    deriv = np.abs(coeffs[:, 1:]).max(axis=-1)
+    assert np.all(deriv <= 1e-12 * coeffs[:, 0]) and (nudged or not deriv.any())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lval, _ = witness.minimize_L(state)
         ref = polyfit_minimize_L(state)
     assert abs(lval - ref) <= 1e-12 * ref
+
+
+def test_minimize_L_against_50_digit_determinant():
+    # every schedule win against det(g + gamma_M) / (4 (M1+1)^2) at its (M1, u),
+    # evaluated at 50 digits; u is recovered from M5 = u (M1+1)
+    wins = 0
+    for state in minimize_L_inputs():
+        lval, d = witness.minimize_L(state)
+        if d is None:
+            continue
+        wins += 1
+        g = state.to_cm() if isinstance(state, StandardForm) else state.entries
+        with mpmath.workdps(50):
+            k = mpmath.mpf(d.m1) + 1
+            u = mpmath.mpf(d.m5) / k
+            m3, m5 = 1 + u * u * k, u * k
+            gm = mpmath.matrix([[d.m1, 0, m5, 0], [0, d.m1, 0, -m5],
+                                [m5, 0, m3, 0], [0, -m5, 0, m3]])
+            want = mpmath.det(mpmath.matrix(g.tolist()) + gm) / (4 * k * k)
+            assert abs(lval - want) <= 1e-13 * want
+    assert wins > 0
 
 
 def test_cubic_roots_with_vanishing_leading_coefficients():
