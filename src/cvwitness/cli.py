@@ -25,16 +25,34 @@ from .symplectic import CovarianceMatrix, StandardForm, standard_form, validate_
 
 
 def _require(doc, key, location):
+    if not isinstance(doc, dict):
+        raise SchemaError("expected a JSON object", location)
     if key not in doc:
         raise SchemaError(f"missing required key '{key}'", location)
     return doc[key]
 
 
+def _is_number(v):
+    """Whether v is a JSON number that fits a float (json also reads NaN and Infinity)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def _number(doc, key, location):
     v = _require(doc, key, location)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise SchemaError(f"'{key}' must be a number", f"{location}/{key}")
+    if not _is_number(v):
+        raise SchemaError(f"'{key}' must be a finite number", f"{location}/{key}")
     return float(v)
+
+
+def _number_array(doc, key, default):
+    """doc[key], or default when absent, checked to be an array of finite numbers."""
+    values = doc.get(key, default)
+    if not isinstance(values, list):
+        raise SchemaError(f"'{key}' must be an array of finite numbers", f"/{key}")
+    for i, v in enumerate(values):
+        if not _is_number(v):
+            raise SchemaError(f"'{key}' entries must be finite numbers", f"/{key}/{i}")
+    return values
 
 
 def _numbers(doc, keys, location):
@@ -63,7 +81,7 @@ def parse_state(doc, location=""):
             raise SchemaError("'cm' must be a non-empty array of rows", f"{location}/cm")
         try:
             mat = np.array(rows, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"'cm' is not numeric: {exc}", f"{location}/cm")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 != 0:
             raise SchemaError(
@@ -246,7 +264,11 @@ def cmd_witness_optimize(args):
 
 def cmd_kernel_spectrum(args):
     doc = _load_input(args.input)
-    k = kernelspec.KernelSpec(alpha=_number(doc, "alpha", ""), r=_number(doc, "r", ""))
+    alpha, r = _numbers(doc, ("alpha", "r"), "")
+    try:
+        k = kernelspec.KernelSpec(alpha=alpha, r=r)
+    except ValueError as exc:
+        raise SchemaError(f"invalid KernelSpec: {exc}")
     count = args.cutoff if args.cutoff is not None else 10
     vals = kernelspec.nystrom_spectrum(k)
     if count > len(vals):
@@ -313,22 +335,35 @@ def cmd_sweep_fig1(args):
     return 0
 
 
+def _fig2_row(n_th, r):
+    """The sweep-fig2 row of one grid point: n, r, the boundary, the k = 1, 2 margins."""
+    g = validate_cm(families.symmetric_squeezed_thermal(n_th, r))
+    margins = [nongaussian.photon_added_criterion(
+        nongaussian.NGPASGSpec(kernel=g, adds=(k, k), subs=(0, 0))).margin for k in (1, 2)]
+    return (float(n_th), float(r), nongaussian.fig2a_boundary(n_th), *margins)
+
+
 def cmd_sweep_fig2(args):
     if args.output is None:
         raise SchemaError("sweep-fig2 requires --output")
     doc = _load_input(args.input) if args.input else {}
-    n_values = doc.get("n_values", [0.25 * i for i in range(9)])
-    r_values = doc.get("r_values", [0.1 * i for i in range(11)])
+    if not isinstance(doc, dict):
+        raise SchemaError("the sweep grid must be a JSON object")
+    n_values = _number_array(doc, "n_values", [0.25 * i for i in range(9)])
+    r_values = _number_array(doc, "r_values", [0.1 * i for i in range(11)])
+    for i, n_th in enumerate(n_values):
+        if n_th < 0:
+            raise SchemaError("thermal photon numbers must be >= 0", f"/n_values/{i}")
     rows = []
-    for n_th in n_values:
-        boundary = nongaussian.fig2a_boundary(n_th)
-        for r in r_values:
-            g = validate_cm(families.symmetric_squeezed_thermal(n_th, r))
-            margins = []
-            for k in (1, 2):
-                spec = nongaussian.NGPASGSpec(kernel=g, adds=(k, k), subs=(0, 0))
-                margins.append(nongaussian.photon_added_criterion(spec).margin)
-            rows.append((float(n_th), float(r), boundary, margins[0], margins[1]))
+    # a grid point whose kernel or margins overflow float64 is an input error
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for i, n_th in enumerate(n_values):
+            for j, r in enumerate(r_values):
+                try:
+                    rows.append(_fig2_row(n_th, r))
+                except FloatingPointError as exc:
+                    raise SchemaError(f"grid point /n_values/{i}, /r_values/{j} "
+                                      f"is beyond float64 range: {exc}")
     _write_csv(args.output,
                ["n_thermal", "r", "boundary_r", "margin_k1", "margin_k2"], rows)
     print(f"wrote {len(rows)} rows to {args.output}")

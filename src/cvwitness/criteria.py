@@ -16,6 +16,9 @@ from .errors import ImpureLocalCM, NegativeC
 from .symplectic import CovarianceMatrix, StandardForm, validate_cm
 
 MARGIN_TOL = 1e-12
+# refined_ww_check's bands on |det - 1| of each local CM and on the least eigenvalue
+LOCAL_DET_TOL = 1e-6
+PSD_TOL = 1e-9
 
 # three-mode biseparability constants (exact surds)
 _S11 = np.sqrt(11.0)
@@ -257,10 +260,10 @@ def cauchy_schwarz_bound(sf):
     return Verdict("cauchy_schwarz", float((m - sf.c1) * (m - sf.c2) - 1.0))
 
 
-def refined_ww_check(gamma, *locals_, det_tol=1e-6, psd_tol=1e-9):
+def refined_ww_check(gamma, *locals_):
     """True iff gamma - (direct sum of pure local CMs) is positive semidefinite.
 
-    Each local CM must be pure (determinant 1 within ``det_tol``); works for
+    Each local CM must be pure (determinant 1 within LOCAL_DET_TOL); works for
     any number of parties.
     """
     g = gamma.entries if isinstance(gamma, CovarianceMatrix) else np.asarray(gamma, float)
@@ -268,7 +271,7 @@ def refined_ww_check(gamma, *locals_, det_tol=1e-6, psd_tol=1e-9):
     for loc in locals_:
         m = loc.entries if isinstance(loc, CovarianceMatrix) else np.asarray(loc, float)
         d = np.linalg.det(m)
-        if abs(d - 1.0) > det_tol:
+        if abs(d - 1.0) > LOCAL_DET_TOL:
             raise ImpureLocalCM(f"local CM determinant {d!r} deviates from 1")
         blocks.append(m)
     direct_sum = np.zeros_like(g)
@@ -280,7 +283,7 @@ def refined_ww_check(gamma, *locals_, det_tol=1e-6, psd_tol=1e-9):
     if off != g.shape[0]:
         raise ValueError("local CM dimensions do not match the full CM")
     w = np.linalg.eigvalsh(g - direct_sum)
-    return bool(w[0] >= -psd_tol)
+    return bool(w[0] >= -PSD_TOL)
 
 
 def refined_ww_search(sf):

@@ -19,6 +19,8 @@ _SIGMA1_I2 = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
 _SIGMA3_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
 # M0 above which the alternating maximization counts as converged to the vacuum
 _M0_TARGET = 0.99999
+_JITTER = 1e-3
+_MAX_TRIES = 1000
 
 
 @dataclass(frozen=True)
@@ -273,13 +275,13 @@ def random_state_vector(rng, dim):
     return v / np.linalg.norm(v)
 
 
-def _maximize(tensors, sqrt_det_beta, b, max_rounds, m0_target):
+def _maximize(tensors, sqrt_det_beta, b, max_rounds):
     """Alternating maximization over a stack of element tensors (k, c, c, c, c).
 
     Starts from unit mode-2 vectors b (k, c), with sqrt_det_beta a sequence
     of k numbers, and returns one IterationResult per sample. Every round
     contracts the samples still running at once and takes one stacked eigh;
-    a sample whose M0 passes m0_target leaves the stack, so its rounds and
+    a sample whose M0 passes _M0_TARGET leaves the stack, so its rounds and
     traces are those it would have alone.
     """
     k, c = b.shape
@@ -321,7 +323,7 @@ def _maximize(tensors, sqrt_det_beta, b, max_rounds, m0_target):
                 raise ArithmeticError("M0 decreased between rounds")
             trace.append(m)
             factors[i].append(new[j])
-            done.append(m > m0_target)
+            done.append(m > _M0_TARGET)
         if any(done):
             for j in np.flatnonzero(done):
                 finish(j, r, True)
@@ -334,7 +336,7 @@ def _maximize(tensors, sqrt_det_beta, b, max_rounds, m0_target):
     return results
 
 
-def alternate_maximize(op, seed=None, max_rounds=100, initial=None, m0_target=_M0_TARGET):
+def alternate_maximize(op, seed=None, max_rounds=100, initial=None):
     """Alternating largest-eigenvector maximization of the product-state mean.
 
     Each round contracts one mode with the current factor and replaces the
@@ -348,19 +350,19 @@ def alternate_maximize(op, seed=None, max_rounds=100, initial=None, m0_target=_M
     else:
         rng = np.random.default_rng(seed)
         b = random_state_vector(rng, op.cutoff)
-    return _maximize(op.tensor[None], [op.sqrt_det_beta], b[None], max_rounds, m0_target)[0]
+    return _maximize(op.tensor[None], [op.sqrt_det_beta], b[None], max_rounds)[0]
 
 
-def random_detect_operator(seed, jitter=1e-3, max_tries=1000):
+def random_detect_operator(seed):
     """Random positive detect operator, deterministic per seed.
 
-    Draws R, forms R R^T + jitter*I, and keeps only the six-parameter
+    Draws R, forms R R^T + _JITTER*I, and keeps only the six-parameter
     sparsity pattern; the projected matrix is re-checked for positivity.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         r = rng.normal(size=(4, 4))
-        g = r @ r.T + jitter * np.eye(4)
+        g = r @ r.T + _JITTER * np.eye(4)
         cand = np.diag(np.diag(g))
         cand[0, 2] = cand[2, 0] = g[0, 2]
         cand[1, 3] = cand[3, 1] = g[1, 3]
@@ -417,8 +419,7 @@ def sweep_fig1(samples, cutoff=6, seed=0, max_rounds=100):
     lam, x, y = np.array([lambda_product_vacuum(d) for d in ds]).reshape(-1, 3).T
     cms = np.array([d.cm() for d in ds]).reshape(-1, 4, 4)
     tensors = _element_tensors(cms, x, y, lam, cutoff)
-    results = _maximize(tensors, lam.tolist(), np.array(starts).reshape(-1, cutoff), max_rounds,
-                        _M0_TARGET)
+    results = _maximize(tensors, lam.tolist(), np.array(starts).reshape(-1, cutoff), max_rounds)
     rows = []
     failures = []
     for s, (d, res) in enumerate(zip(ds, results)):

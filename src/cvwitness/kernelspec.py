@@ -18,9 +18,9 @@ class KernelSpec:
     r: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if abs(self.r) >= 1:
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not abs(self.r) < 1:
             raise ValueError("|r| must be below 1")
 
     @property
@@ -97,14 +97,14 @@ def apply_kernel(k, values, grid):
     return kernel @ (ws * np.asarray(values, dtype=float))
 
 
-def nystrom_spectrum(k, grid_size=256, half_width=None):
+def nystrom_spectrum(k, grid_size=256):
     """Eigenvalues of the symmetrized quadrature discretization of the kernel.
 
     Sorted by absolute value, descending.
     """
     if grid_size < 64:
         raise ValueError("grid size must be at least 64")
-    xs, ws = legendre_grid(k, half_width=half_width, nodes=grid_size)
+    xs, ws = legendre_grid(k, nodes=grid_size)
     sw = np.sqrt(ws)
     mat = sw[:, None] * k.kappa(xs[:, None], xs[None, :]) * sw[None, :]
     vals = np.linalg.eigvalsh(mat)

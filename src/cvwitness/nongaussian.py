@@ -22,6 +22,8 @@ from . import witness
 # largest Taylor table, prod(alpha_i + 1) entries, a trace may allocate; it
 # fills the numerator's and the denominator's tables as one stack of two
 MAX_TABLE_SIZE = 2**22
+# relative gap below which kernel_verdict reads a ~ b or c1 ~ c2 as equal
+KERNEL_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ def ngpasg_trace_limit(s, gamma_m):
     return _detect_overlap(s.kernel, gamma_m)[1]
 
 
-def kernel_verdict(gamma, tol=1e-9):
+def kernel_verdict(gamma):
     """Separability verdict for a two-mode Gaussian kernel CM.
 
     Dispatches to the closed-form symmetric or squeezed-thermal criterion
@@ -178,9 +180,9 @@ def kernel_verdict(gamma, tol=1e-9):
     if cm.n != 2:
         raise ValueError("kernel classification is defined for two-mode states")
     sf = standard_form(cm)
-    if abs(sf.a - sf.b) <= tol * max(1.0, sf.a):
+    if abs(sf.a - sf.b) <= KERNEL_MATCH_TOL * max(1.0, sf.a):
         return criteria.symmetric_two_mode(sf.a, sf.c1, sf.c2)
-    if abs(sf.c1 - sf.c2) <= tol * max(1.0, sf.c1):
+    if abs(sf.c1 - sf.c2) <= KERNEL_MATCH_TOL * max(1.0, sf.c1):
         return criteria.squeezed_thermal(sf.a, sf.b, sf.c1)
     lval, _ = witness.minimize_L(cm)
     return criteria.Verdict("determinant_ratio", float(lval - 1.0))

@@ -17,6 +17,7 @@ from .errors import (
     NotSymmetric,
     OddDimension,
     SingularSum,
+    ValidationError,
 )
 
 SYM_RTOL = 1e-12
@@ -51,12 +52,6 @@ class CovarianceMatrix:
     @property
     def n(self):
         return self.entries.shape[0] // 2
-
-    def block(self, rows, cols):
-        """Sub-block selecting the quadratures of the given mode lists."""
-        ri = [q for m in rows for q in (2 * m, 2 * m + 1)]
-        ci = [q for m in cols for q in (2 * m, 2 * m + 1)]
-        return self.entries[np.ix_(ri, ci)]
 
 
 @dataclass(frozen=True)
@@ -124,15 +119,20 @@ class StandardForm:
 def validate_cm(entries):
     """Validate a candidate covariance matrix.
 
-    Raises OddDimension, NotSymmetric or NotPhysical; NotPhysical carries
-    the most negative eigenvalue of gamma + i*sigma.
+    Raises OddDimension, ValidationError for a NaN or infinite entry,
+    NotSymmetric or NotPhysical; NotPhysical carries the most negative
+    eigenvalue of gamma + i*sigma.
     """
     g = np.asarray(entries, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise OddDimension(f"expected a square matrix, got shape {g.shape}")
     if g.shape[0] % 2 != 0 or g.shape[0] == 0:
         raise OddDimension(f"dimension {g.shape[0]} is not a positive even number")
-    scale = max(1.0, float(np.max(np.abs(g))))
+    largest = float(np.max(np.abs(g)))
+    # NaN propagates through max; inf - inf is NaN, which passes every tolerance test below
+    if not largest < math.inf:
+        raise ValidationError("matrix has a NaN or infinite entry")
+    scale = max(1.0, largest)
     if np.max(np.abs(g - g.T)) > SYM_RTOL * scale:
         raise NotSymmetric("matrix is not symmetric to within tolerance")
     g = 0.5 * (g + g.T)

@@ -16,6 +16,9 @@ from .errors import NoConvergence, NotPhysical, OptimFailure, SingularGamma2
 from .symplectic import CovarianceMatrix, _symplectic_form, standard_form
 
 _EPS = np.finfo(float).eps
+# fixed_point_AB stops once no entry moves by FIXED_POINT_TOL in one sweep
+FIXED_POINT_TOL = 1e-12
+FIXED_POINT_MAX_ITER = 10000
 
 
 class PositivityMode(enum.Enum):
@@ -100,7 +103,7 @@ def two_fold_kernel(gamma1, gamma2, gamma3):
     return TwoFoldKernelCM(zeta=zeta, omega=omega, gamma_2m=gamma_2m)
 
 
-def fixed_point_AB(gamma1, gamma2, gamma3, tol=1e-12, max_iter=10000):
+def fixed_point_AB(gamma1, gamma2, gamma3):
     """Alternating substitution for the extremal local CMs.
 
     Starts from gamma_B = identity; returns (gamma_A, gamma_B, iterations).
@@ -108,14 +111,14 @@ def fixed_point_AB(gamma1, gamma2, gamma3, tol=1e-12, max_iter=10000):
     dim = gamma2.shape[0]
     gb = np.eye(dim)
     ga = gamma1 - gamma3 @ np.linalg.inv(gamma2 + gb) @ gamma3.T
-    for it in range(1, max_iter + 1):
+    for it in range(1, FIXED_POINT_MAX_ITER + 1):
         ga_new = gamma1 - gamma3 @ np.linalg.inv(gamma2 + gb) @ gamma3.T
         gb_new = gamma2 - gamma3.T @ np.linalg.inv(gamma1 + ga_new) @ gamma3
         delta = max(np.max(np.abs(ga_new - ga)), np.max(np.abs(gb_new - gb)))
         ga, gb = ga_new, gb_new
-        if delta < tol:
+        if delta < FIXED_POINT_TOL:
             return ga, gb, it
-    raise NoConvergence(f"fixed point not reached after {max_iter} iterations")
+    raise NoConvergence(f"fixed point not reached after {FIXED_POINT_MAX_ITER} iterations")
 
 
 def omega_residuals(d):
@@ -190,18 +193,12 @@ def lambda_product_vacuum(d):
     return float(lam), float(x), float(y)
 
 
-def min_detect_determinant(d):
-    """min over x, y of det(gamma_M + diag(x, 1/x, y, 1/y))."""
-    lam, _, _ = lambda_product_vacuum(d)
-    return 16.0 / lam**2
-
-
 def L_ratio(gamma, d):
     """det(gamma + gamma_M) / min_{x,y} det(diag(x,1/x,y,1/y) + gamma_M)."""
     g = gamma.entries if isinstance(gamma, CovarianceMatrix) else np.asarray(gamma, float)
     numer = float(np.linalg.det(g + d.cm()))
-    denom = min_detect_determinant(d)
-    return numer / denom
+    lam, _, _ = lambda_product_vacuum(d)
+    return numer / (16.0 / lam**2)
 
 
 def _schedule_detect(m1, u):

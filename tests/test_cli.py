@@ -215,6 +215,23 @@ def test_sweep_csv_checksums(tmp_path, capsys):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+def test_trace_report_checksums(tmp_path, capsys):
+    # the photon-trace reports that every change to the Taylor tables must reproduce
+    for doc, sha256 in (
+        ({"family": "ngpasg", "add": [2, 1], "sub": [1, 2],
+          "kernel": {"cm": [[3.0, 0.4, 1.2, 0.1], [0.4, 2.5, -0.3, -0.9],
+                            [1.2, -0.3, 2.8, 0.2], [0.1, -0.9, 0.2, 3.1]]}},
+         "3fc702b627daa0fb305853caca407ae71094b44428bb6e7f8afee305dcc7d2c8"),
+        ({"family": "ngpasg", "add": [2, 2], "sub": [2, 2],
+          "kernel": {"family": "squeezed_thermal", "a": 3.0, "b": 2.0, "c": 1.5}},
+         "36ff23da8a5180026a11b8e75dbe68f9da162a470da818ca4b5088a352f749d5"),
+    ):
+        out = tmp_path / "r.json"
+        assert cli.main(["check-nongaussian", "--input", write_json(tmp_path / "s.json", doc),
+                         "--schedule", "10,100,1000,10000", "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def test_sweep_fig2(tmp_path, capsys):
     inp = write_json(tmp_path / "grid.json", {"n_values": [0.5, 1.0], "r_values": [0.2, 0.6]})
     out = str(tmp_path / "fig2.csv")
@@ -287,4 +304,45 @@ def test_integer_flags_reject_out_of_range(tmp_path, capsys, argv, code, message
     err = capsys.readouterr().err
     assert rc == code
     assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+INF_CM = [[float("inf"), 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("check-gaussian", {"cm": INF_CM}),
+    ("witness-optimize", {"cm": INF_CM}),
+    ("check-nongaussian", {"family": "ngpasg", "add": [1, 0], "sub": [0, 0],
+                           "kernel": {"cm": INF_CM}}),
+])
+def test_non_finite_cm_is_an_error_not_a_verdict(tmp_path, capsys, command, doc):
+    # json reads Infinity; the CM must be rejected before any margin is taken
+    out = tmp_path / "r.json"
+    rc = cli.main([command, "--input", write_json(tmp_path / "s.json", doc), "--output", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "NaN or infinite" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("kernel-spectrum", '{"alpha": -1, "r": 0.5}'),
+    ("kernel-spectrum", '{"alpha": 1, "r": 1.5}'),
+    ("kernel-spectrum", '{"alpha": Infinity, "r": 0.5}'),
+    ("sweep-fig2", '{"n_values": [-1]}'),
+    ("sweep-fig2", '{"n_values": "ab"}'),
+    ("sweep-fig2", '{"r_values": [400]}'),
+    ("sweep-fig2", '{"n_values": [1], "r_values": [null]}'),
+    ("sweep-fig2", '[1, 2]'),
+], ids=["alpha-negative", "r-above-1", "alpha-infinite", "n-negative", "n-not-array",
+        "r-overflows", "r-null", "grid-not-object"])
+def test_bad_input_values_are_errors_not_tracebacks(tmp_path, capsys, command, text):
+    inp = tmp_path / "in.json"
+    inp.write_text(text)
+    out = tmp_path / "out.csv"
+    rc = cli.main([command, "--input", str(inp), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()

@@ -229,7 +229,7 @@ def test_stacked_maximization_matches_batches_of_one(cutoff):
     cap = sorted(free)[len(free) // 2]
     assert len(set(free)) > 2 and max(free) > cap
     stacked = fock._maximize(np.array([op.tensor for op in ops]),
-                             [op.sqrt_det_beta for op in ops], np.array(starts), cap, 0.99999)
+                             [op.sqrt_det_beta for op in ops], np.array(starts), cap)
     assert {r.converged for r in stacked} == {True, False}
     for op, b, res in zip(ops, starts, stacked):
         assert_same_iteration(res, fock.alternate_maximize(op, initial=b, max_rounds=cap))
@@ -240,7 +240,7 @@ def test_stacked_maximization_rejects_unnormalized_start():
     starts[1] = 1.5 * starts[1]
     with pytest.raises(ValueError):
         fock._maximize(np.array([op.tensor for op in ops]), [op.sqrt_det_beta for op in ops],
-                       np.array(starts), 10, 0.99999)
+                       np.array(starts), 10)
 
 
 def test_stacked_generating_matrices_raise_for_any_bad_sample():
