@@ -14,12 +14,7 @@ import sys
 import numpy as np
 
 from . import criteria, families, fock, kernelspec, nongaussian, witness
-from .criteria import (
-    GHZParams,
-    SymmetricMultimodeParams,
-    Verdict,
-    WernerWolf2x2Params,
-)
+from .criteria import GHZParams, SymmetricMultimodeParams, WernerWolf2x2Params
 from .errors import CVWitnessError, SchemaError
 from .symplectic import CovarianceMatrix, StandardForm, standard_form, validate_cm
 
@@ -124,8 +119,9 @@ def parse_state(doc, location=""):
         adds = _require(doc, "add", location)
         subs = _require(doc, "sub", location)
         for name, counts in (("add", adds), ("sub", subs)):
+            # json reads true/false as bool, which is an int subclass
             if not isinstance(counts, list) or not all(
-                isinstance(c, int) and c >= 0 for c in counts
+                isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in counts
             ):
                 raise SchemaError(
                     f"'{name}' must be an array of non-negative integers",
@@ -138,19 +134,11 @@ def parse_state(doc, location=""):
     raise SchemaError(f"unknown family '{family}'", f"{location}/family")
 
 
-def _classify_word(margin):
-    if margin < -criteria.MARGIN_TOL:
-        return "entangled"
-    if abs(margin) <= 1e-9:
-        return "boundary"
-    return "satisfied"
-
-
 def _verdict_entry(v):
     return {
         "criterion_id": v.criterion_id,
         "margin": v.margin,
-        "classification": _classify_word(v.margin),
+        "classification": v.classification.value,
     }
 
 
@@ -252,7 +240,7 @@ def cmd_witness_optimize(args):
     lval, best = witness.minimize_L(cm)
     report = {
         "command": "witness-optimize",
-        "criteria": [_verdict_entry(Verdict("determinant_ratio", lval - 1.0))],
+        "criteria": [_verdict_entry(criteria.determinant_ratio(lval))],
         "L": lval,
     }
     if best is not None:
@@ -303,10 +291,7 @@ def cmd_fock_iterate(args):
                    "m4": d.m4, "m5": d.m5, "m6": d.m6},
     }
     print(f"m0 {res.m0:.9g} rounds {res.rounds} converged {res.converged}")
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _emit_report(report, args.output)
     return 0
 
 

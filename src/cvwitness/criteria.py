@@ -2,7 +2,8 @@
 
 Every criterion returns a :class:`Verdict` whose margin is normalized so
 that margin >= 0 means the criterion is satisfied, regardless of the
-direction of the underlying inequality.
+direction of the underlying inequality; :attr:`Verdict.classification`
+is the one place a margin becomes a word.
 """
 
 import enum
@@ -12,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families
-from .errors import ImpureLocalCM, NegativeC
+from .errors import ImpureLocalCM, NegativeC, ValidationError
 from .symplectic import CovarianceMatrix, StandardForm, validate_cm
 
 MARGIN_TOL = 1e-12
+BOUNDARY_TOL = 1e-9
 # refined_ww_check's bands on |det - 1| of each local CM and on the least eigenvalue
 LOCAL_DET_TOL = 1e-6
 PSD_TOL = 1e-9
@@ -30,6 +32,7 @@ BISEP_LARGE_C_BOUND = (
 
 class Classification(enum.Enum):
     ENTANGLED = "entangled"
+    BOUNDARY = "boundary"
     CRITERION_SATISFIED = "satisfied"
 
 
@@ -38,10 +41,17 @@ class Verdict:
     criterion_id: str
     margin: float
 
+    def __post_init__(self):
+        if math.isnan(self.margin):
+            raise ValidationError(f"{self.criterion_id} margin is NaN")
+
     @property
     def classification(self):
+        """ENTANGLED below -MARGIN_TOL, BOUNDARY within BOUNDARY_TOL of 0, else satisfied."""
         if self.margin < -MARGIN_TOL:
             return Classification.ENTANGLED
+        if abs(self.margin) <= BOUNDARY_TOL:
+            return Classification.BOUNDARY
         return Classification.CRITERION_SATISFIED
 
     @property
@@ -252,6 +262,11 @@ def biseparability_certificate(a, c):
     )
     s = 0.5 * np.arcsinh(sh)
     return float(x), float(s), tuple(float(r) for r in residuals)
+
+
+def determinant_ratio(L):
+    """L >= 1 for the determinant-ratio statistic minimized over the detect family."""
+    return Verdict("determinant_ratio", float(L - 1.0))
 
 
 def cauchy_schwarz_bound(sf):

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .symplectic import six_param_cm
+
 
 def two_mode_squeezed_vacuum(r):
     return squeezed_thermal_cm(np.cosh(2 * r), np.cosh(2 * r), np.sinh(2 * r))
@@ -9,10 +11,7 @@ def two_mode_squeezed_vacuum(r):
 
 def squeezed_thermal_cm(a, b, c):
     """Blocks a*I, b*I with coupling c*sigma_3 (x-x coupling +c, p-p coupling -c)."""
-    g = np.diag([a, a, b, b]).astype(float)
-    g[0, 2] = g[2, 0] = c
-    g[1, 3] = g[3, 1] = -c
-    return g
+    return six_param_cm(a, a, b, b, c, c)
 
 
 def symmetric_squeezed_thermal(n_th, r):

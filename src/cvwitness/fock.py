@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrix, StationarityViolated
-from .symplectic import _ccm_matrix, gaussian_taylor
+from .symplectic import _ccm_matrix, gaussian_taylor, six_param_cm
 from .witness import PositivityMode, SixParamDetect, detect_determinant, lambda_product_vacuum
 
 _SIGMA1_I2 = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
@@ -363,16 +363,10 @@ def random_detect_operator(seed):
     for _ in range(_MAX_TRIES):
         r = rng.normal(size=(4, 4))
         g = r @ r.T + _JITTER * np.eye(4)
-        cand = np.diag(np.diag(g))
-        cand[0, 2] = cand[2, 0] = g[0, 2]
-        cand[1, 3] = cand[3, 1] = g[1, 3]
-        if np.linalg.eigvalsh(cand)[0] < 0.0:
+        m = (g[0, 0], g[1, 1], g[2, 2], g[3, 3], g[0, 2], -g[1, 3])
+        if np.linalg.eigvalsh(six_param_cm(*m))[0] < 0.0:
             continue
-        return SixParamDetect(
-            m1=g[0, 0], m2=g[1, 1], m3=g[2, 2], m4=g[3, 3],
-            m5=g[0, 2], m6=-g[1, 3],
-            positivity=PositivityMode.OPERATOR_PSD,
-        )
+        return SixParamDetect(*m, positivity=PositivityMode.OPERATOR_PSD)
     raise RuntimeError("rejection sampling failed to produce a positive operator")
 
 

@@ -22,6 +22,12 @@ class KernelSpec:
             raise ValueError("alpha must be positive and finite")
         if not abs(self.r) < 1:
             raise ValueError("|r| must be below 1")
+        # kappa doubles alpha, and x^2 + y^2 on the default grid reaches twice the
+        # square of its half-width 8/sqrt(beta); both must be finite in float64
+        with np.errstate(over="ignore", divide="ignore"):
+            bounds = (2.0 * self.alpha, 2.0 * (8.0 / np.sqrt(self.beta)) ** 2)
+        if not np.all(np.isfinite(bounds)):
+            raise ValueError("alpha is beyond the float64 range of the kernel and its grid")
 
     @property
     def beta(self):

@@ -39,7 +39,7 @@ class NGPASGSpec:
         if len(self.adds) != n or len(self.subs) != n:
             raise ValueError("count vectors must have one entry per mode")
         for c in (*self.adds, *self.subs):
-            if int(c) != c or c < 0:
+            if isinstance(c, (bool, np.bool_)) or int(c) != c or c < 0:
                 raise ValueError("photon counts must be non-negative integers")
 
     @property
@@ -185,7 +185,7 @@ def kernel_verdict(gamma):
     if abs(sf.c1 - sf.c2) <= KERNEL_MATCH_TOL * max(1.0, sf.c1):
         return criteria.squeezed_thermal(sf.a, sf.b, sf.c1)
     lval, _ = witness.minimize_L(cm)
-    return criteria.Verdict("determinant_ratio", float(lval - 1.0))
+    return criteria.determinant_ratio(lval)
 
 
 def photon_added_criterion(s):

@@ -40,6 +40,14 @@ def _symplectic_form(n):
     return s
 
 
+def six_param_cm(m1, m2, m3, m4, m5, m6):
+    """Two-mode matrix diag(m1, m2, m3, m4) with x1-x2 coupling +m5 and p1-p2 coupling -m6."""
+    g = np.diag([m1, m2, m3, m4]).astype(float)
+    g[0, 2] = g[2, 0] = m5
+    g[1, 3] = g[3, 1] = -m6
+    return g
+
+
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """A validated 2n x 2n real covariance matrix.
@@ -106,10 +114,7 @@ class StandardForm:
     c2: float
 
     def to_cm(self):
-        g = np.diag([self.a, self.a, self.b, self.b]).astype(float)
-        g[0, 2] = g[2, 0] = self.c1
-        g[1, 3] = g[3, 1] = -self.c2
-        return g
+        return six_param_cm(self.a, self.a, self.b, self.b, self.c1, self.c2)
 
     def validate(self):
         validate_cm(self.to_cm())

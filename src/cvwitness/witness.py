@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NoConvergence, NotPhysical, OptimFailure, SingularGamma2
-from .symplectic import CovarianceMatrix, _symplectic_form, standard_form
+from .symplectic import CovarianceMatrix, _symplectic_form, six_param_cm, standard_form
 
 _EPS = np.finfo(float).eps
 # fixed_point_AB stops once no entry moves by FIXED_POINT_TOL in one sweep
@@ -52,10 +52,7 @@ class SixParamDetect:
             raise NotPhysical(w[0])
 
     def cm(self):
-        g = np.diag([self.m1, self.m2, self.m3, self.m4]).astype(float)
-        g[0, 2] = g[2, 0] = self.m5
-        g[1, 3] = g[3, 1] = -self.m6
-        return g
+        return six_param_cm(self.m1, self.m2, self.m3, self.m4, self.m5, self.m6)
 
     @property
     def gamma1(self):

@@ -70,15 +70,17 @@ def test_parse_state_ngpasg():
 
 
 def test_parse_state_ngpasg_bad_counts():
-    doc = {
-        "family": "ngpasg",
-        "kernel": {"cm": np.eye(4).tolist()},
-        "add": [1, -1],
-        "sub": [0, 0],
-    }
-    with pytest.raises(SchemaError) as exc:
-        cli.parse_state(doc)
-    assert "/add" in str(exc.value)
+    for add, sub, location in (([1, -1], [0, 0], "/add"), ([True, 0], [0, 0], "/add"),
+                               ([0, 0], [0, False], "/sub")):
+        doc = {
+            "family": "ngpasg",
+            "kernel": {"cm": np.eye(4).tolist()},
+            "add": add,
+            "sub": sub,
+        }
+        with pytest.raises(SchemaError) as exc:
+            cli.parse_state(doc)
+        assert location in str(exc.value)
 
 
 def test_check_gaussian_boundary_report(tmp_path, capsys):
@@ -100,6 +102,17 @@ def test_check_gaussian_cm_round_trip(tmp_path):
     assert cli.main(["check-gaussian", "--input", inp, "--output", out]) == 0
     report = json.loads(Path(out).read_text())
     assert np.max(np.abs(np.array(report["cm"]) - g)) < 1e-15
+
+
+def test_check_gaussian_nan_margin_is_an_error(tmp_path, capsys):
+    # a finite CM whose standard form overflows gives a NaN Simon margin, not a verdict
+    inp = write_json(tmp_path / "s.json", {"cm": (1e200 * np.eye(4)).tolist()})
+    out = tmp_path / "r.json"
+    rc = cli.main(["check-gaussian", "--input", inp, "--output", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert not out.exists()
 
 
 def test_check_gaussian_bad_input_exit_code(tmp_path, capsys):
@@ -232,6 +245,48 @@ def test_trace_report_checksums(tmp_path, capsys):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+EYE4 = np.eye(4).tolist()
+C10 = [[3.0, 0.4, 1.2, 0.1], [0.4, 2.5, -0.3, -0.9], [1.2, -0.3, 2.8, 0.2], [0.1, -0.9, 0.2, 3.1]]
+
+
+@pytest.mark.parametrize("command, doc, sha256", [
+    ("check-gaussian", {"family": "squeezed_thermal", "a": 3, "b": 3, "c": 2},
+     "30d8d2990158920afdd8b7feea9b267bbb77b62bd541e017ccd287b455283d8e"),
+    ("check-gaussian", {"cm": EYE4},
+     "c7396757f7d740c7bbfea3aae3e0467d6209d80ad39eeeed9d778b035c45104a"),
+    ("check-gaussian", {"family": "squeezed_thermal", "a": 2, "b": 2, "c": 1.5},
+     "13c25c9f0d22b8b2f82d3d785c331f12531af8885682a3653cf7610ca38fa328"),
+    ("check-gaussian", {"standard_form": {"a": 2.5, "b": 1.8, "c1": 1.1, "c2": -0.4}},
+     "7c6d629a7dc8039d0977d9d59e4965da01e1f2eb0325dcc02515f88679a91c7c"),
+    ("check-gaussian", {"family": "werner_wolf_2x2", "A": 2, "B": 1, "C": 2, "D": 4, "E": 1,
+                        "F": 1},
+     "cfbc354eb4ec1eeefa5cdf39e4ac7613a919eeeb7970313793a9195f8c67a244"),
+    ("check-gaussian", {"family": "ghz", "n": 3, "a": 2, "c": 0.3},
+     "ca478ac47b638540918684971660d3fa2fa2c73e89a6b84872584db488b65445"),
+    ("check-gaussian", {"family": "symmetric_multimode", "n": 3, "a": 2, "b": 2, "c1": 0.5,
+                        "c2": 0.5},
+     "fbfbef52ef38b010baa55c2e1cdbccae6267f3c5a456ceac2404221e2667774a"),
+    ("witness-optimize", {"cm": EYE4},
+     "7228572d1edad37282866afe0d1beed9a06026cc672e8b0dc4efaa6301183b51"),
+    ("witness-optimize", {"family": "squeezed_thermal", "a": 2, "b": 2, "c": 1.5},
+     "0bc6888b330eb7fa92483570673fb6f6fa44e19151f52b05005a93f5c7e569aa"),
+    ("witness-optimize", {"cm": C10},
+     "745f1b98372e571771647999a9aaf924ac94fd109f39acb6d3e54dc9e6a40fb4"),
+    ("check-nongaussian", {"family": "ngpasg", "add": [1, 1], "sub": [0, 0],
+                           "kernel": {"family": "squeezed_thermal", "a": 2, "b": 2, "c": 1.2}},
+     "ea1aae9dad7540d61aacb32fd0c146a6e48dc2dcbac380701c46ac5e841cfc6a"),
+    ("check-nongaussian", {"family": "ngpasg", "add": [1, 0], "sub": [0, 1],
+                           "kernel": {"cm": EYE4}},
+     "d74a4755c40c114adce98642af613fc12eb703e97dff4a42de70f73669df2ce2"),
+])
+def test_verdict_report_checksums(tmp_path, capsys, command, doc, sha256):
+    # the verdict reports, which cover all three words and every state family
+    out = tmp_path / "r.json"
+    assert cli.main([command, "--input", write_json(tmp_path / "s.json", doc),
+                     "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def test_sweep_fig2(tmp_path, capsys):
     inp = write_json(tmp_path / "grid.json", {"n_values": [0.5, 1.0], "r_values": [0.2, 0.6]})
     out = str(tmp_path / "fig2.csv")
@@ -330,12 +385,15 @@ def test_non_finite_cm_is_an_error_not_a_verdict(tmp_path, capsys, command, doc)
     ("kernel-spectrum", '{"alpha": -1, "r": 0.5}'),
     ("kernel-spectrum", '{"alpha": 1, "r": 1.5}'),
     ("kernel-spectrum", '{"alpha": Infinity, "r": 0.5}'),
+    ("kernel-spectrum", '{"alpha": 1.7e308, "r": 0.5}'),
+    ("kernel-spectrum", '{"alpha": 1e-320, "r": 0.5}'),
     ("sweep-fig2", '{"n_values": [-1]}'),
     ("sweep-fig2", '{"n_values": "ab"}'),
     ("sweep-fig2", '{"r_values": [400]}'),
     ("sweep-fig2", '{"n_values": [1], "r_values": [null]}'),
     ("sweep-fig2", '[1, 2]'),
-], ids=["alpha-negative", "r-above-1", "alpha-infinite", "n-negative", "n-not-array",
+], ids=["alpha-negative", "r-above-1", "alpha-infinite", "alpha-kernel-overflows",
+        "alpha-grid-overflows", "n-negative", "n-not-array",
         "r-overflows", "r-null", "grid-not-object"])
 def test_bad_input_values_are_errors_not_tracebacks(tmp_path, capsys, command, text):
     inp = tmp_path / "in.json"

@@ -7,9 +7,10 @@ from cvwitness.criteria import (
     BISEP_THRESHOLD_C,
     Classification,
     SymmetricMultimodeParams,
+    Verdict,
     WernerWolf2x2Params,
 )
-from cvwitness.errors import ImpureLocalCM, NegativeC
+from cvwitness.errors import ImpureLocalCM, NegativeC, ValidationError
 from cvwitness.symplectic import (
     ModePartition,
     StandardForm,
@@ -22,7 +23,23 @@ from cvwitness.symplectic import (
 def test_simon_vacuum_boundary():
     v = criteria.simon_criterion(StandardForm(a=1.0, b=1.0, c1=0.0, c2=0.0))
     assert v.margin == pytest.approx(0.0, abs=1e-14)
-    assert v.classification is Classification.CRITERION_SATISFIED
+    assert v.classification is Classification.BOUNDARY
+
+
+@pytest.mark.parametrize("margin, word", [
+    (float("-inf"), "entangled"), (-1e-6, "entangled"), (-1e-9, "entangled"),
+    (-1.0000001e-12, "entangled"), (-1e-12, "boundary"), (0.0, "boundary"),
+    (1e-9, "boundary"), (1.000001e-9, "satisfied"), (1e-3, "satisfied"),
+    (float("inf"), "satisfied"),
+])
+def test_classification_band_edges(margin, word):
+    # the words the command line has always printed at the edges of each band
+    assert Verdict("x", margin).classification.value == word
+
+
+def test_nan_margin_is_not_a_verdict():
+    with pytest.raises(ValidationError):
+        Verdict("x", float("nan"))
 
 
 def test_simon_detects_tmsv():

@@ -20,6 +20,15 @@ def test_spec_validation():
         KernelSpec(alpha=1.0, r=1.0)
 
 
+def test_spec_rejects_alpha_beyond_float64():
+    # 2 alpha overflows in the kernel; the grid half-width 8/sqrt(beta) overflows when squared
+    for alpha in (1.7e308, 1e-320):
+        with pytest.raises(ValueError):
+            KernelSpec(alpha=alpha, r=0.5)
+    for alpha in (8.9e307, 1e-306):
+        KernelSpec(alpha=alpha, r=0.5)
+
+
 def test_beta_definition():
     k = KernelSpec(alpha=2.0, r=0.6)
     assert k.beta == pytest.approx(2.0 * np.sqrt(1 - 0.36))

@@ -34,6 +34,13 @@ def test_spec_validation():
         NGPASGSpec(kernel=kernel, adds=(-1,), subs=(0,))
 
 
+def test_spec_rejects_boolean_counts():
+    kernel = validate_cm(np.eye(2))
+    for counts in ((True,), (np.False_,)):
+        with pytest.raises(ValueError):
+            NGPASGSpec(kernel=kernel, adds=counts, subs=(0,))
+
+
 def test_q_char_zero_at_origin():
     g = validate_cm(families.squeezed_thermal_cm(1.5, 1.5, 0.4))
     z = np.zeros(2)
