@@ -9,7 +9,6 @@ from .criteria import (
     Verdict,
     WernerWolf2x2Params,
     biseparability_certificate,
-    cauchy_schwarz_bound,
     ghz_full_sep,
     multimode_symmetric_full_sep,
     refined_ww_check,
@@ -41,7 +40,6 @@ from .nongaussian import (
     photon_added_criterion,
 )
 from .symplectic import (
-    ComplexCM,
     CovarianceMatrix,
     ModePartition,
     StandardForm,
@@ -50,17 +48,13 @@ from .symplectic import (
     partial_transpose,
     standard_form,
     symplectic_eigenvalues,
-    symplectic_form,
-    to_complex_cm,
     validate_cm,
 )
 from .witness import (
     PositivityMode,
     SixParamDetect,
-    fixed_point_AB,
     lambda_product_vacuum,
     minimize_L,
-    two_fold_kernel,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -145,9 +145,9 @@ def _verdict_entry(v):
 def _state_verdicts(state):
     if isinstance(state, StandardForm):
         out = [criteria.simon_criterion(state)]
-        if abs(state.c1 - state.c2) < 1e-12:
+        if criteria.family_match(state.c1, state.c2):
             out.append(criteria.squeezed_thermal(state.a, state.b, state.c1))
-        if abs(state.a - state.b) < 1e-12:
+        if criteria.family_match(state.a, state.b):
             out.append(criteria.symmetric_two_mode(state.a, state.c1, state.c2))
         return out
     if isinstance(state, CovarianceMatrix):
@@ -237,7 +237,12 @@ def cmd_witness_optimize(args):
         cm = state
     else:
         raise SchemaError("witness-optimize expects a two-mode CM or standard form")
-    lval, best = witness.minimize_L(cm)
+    # a CM whose determinants overflow float64 is an input error, not a verdict
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            lval, best = witness.minimize_L(cm)
+        except FloatingPointError as exc:
+            raise SchemaError(f"the state is beyond float64 range: {exc}")
     report = {
         "command": "witness-optimize",
         "criteria": [_verdict_entry(criteria.determinant_ratio(lval))],

@@ -14,13 +14,15 @@ import numpy as np
 
 from . import families
 from .errors import ImpureLocalCM, NegativeC, ValidationError
-from .symplectic import CovarianceMatrix, StandardForm, validate_cm
+from .symplectic import CovarianceMatrix, validate_cm
 
 MARGIN_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
 # refined_ww_check's bands on |det - 1| of each local CM and on the least eigenvalue
 LOCAL_DET_TOL = 1e-6
 PSD_TOL = 1e-9
+# relative gap below which a ~ b or c1 ~ c2 in a standard form count as equal
+FAMILY_MATCH_TOL = 1e-9
 
 # three-mode biseparability constants (exact surds)
 _S11 = np.sqrt(11.0)
@@ -110,6 +112,12 @@ class GHZParams:
     def validate(self):
         validate_cm(self.to_cm())
         return self
+
+
+def family_match(u, v):
+    """Whether u ~ v within FAMILY_MATCH_TOL times max(1, u): a ~ b picks the
+    symmetric criterion, c1 ~ c2 the squeezed-thermal one."""
+    return abs(u - v) <= FAMILY_MATCH_TOL * max(1.0, u)
 
 
 def simon_criterion(sf):
@@ -269,12 +277,6 @@ def determinant_ratio(L):
     return Verdict("determinant_ratio", float(L - 1.0))
 
 
-def cauchy_schwarz_bound(sf):
-    """(sqrt(ab) - c1)(sqrt(ab) - c2) >= 1, the Cauchy-Schwarz upper-bound criterion."""
-    m = np.sqrt(sf.a * sf.b)
-    return Verdict("cauchy_schwarz", float((m - sf.c1) * (m - sf.c2) - 1.0))
-
-
 def refined_ww_check(gamma, *locals_):
     """True iff gamma - (direct sum of pure local CMs) is positive semidefinite.
 
@@ -316,8 +318,3 @@ def refined_ww_search(sf):
     if not _holds(sf.a - 1.0 / x, sf.b - y, sf.a - x, sf.b - 1.0 / y, sf.c1, sf.c2):
         return None
     return x, y
-
-
-def certificate_cms(x, y):
-    """The pure local CMs named by a refined_ww_search certificate."""
-    return np.diag([1.0 / x, x]), np.diag([y, 1.0 / y])

@@ -39,15 +39,7 @@ class SingularSum(CVWitnessError):
     pass
 
 
-class SingularGamma2(CVWitnessError):
-    pass
-
-
 class SingularMatrix(CVWitnessError):
-    pass
-
-
-class NoConvergence(CVWitnessError):
     pass
 
 
@@ -68,10 +60,6 @@ class UnsupportedOrder(CVWitnessError):
 
 
 class NegativeC(CVWitnessError):
-    pass
-
-
-class GridTooNarrow(CVWitnessError):
     pass
 
 

@@ -90,16 +90,6 @@ def _generating_matrices(cms, x, y):
     return beta.real
 
 
-def beta_fock(d, x, y):
-    """Generating-function matrix beta of the pre-squeezed detect operator.
-
-    Returns (beta, sqrt_det_beta); sqrt_det_beta doubles as the vacuum
-    matrix element and the normalization of the element tensor.
-    """
-    sqrt_det_beta = 4.0 / np.sqrt(detect_determinant(d, x, y))
-    return _generating_matrices(d.cm(), x, y), float(sqrt_det_beta)
-
-
 def generating_coeffs(d, x=None, y=None):
     """K and N coefficients at the stationary pre-squeeze parameters.
 
@@ -200,14 +190,6 @@ def fock_elements(d, cutoff):
     return FockOperator(tensor=tensor, cutoff=cutoff, sqrt_det_beta=sqrt_det_beta)
 
 
-def fock_trace(d, cutoff):
-    """Fock-basis trace of the detect operator up to the cutoff.
-
-    The full trace is 1 (the characteristic function at the origin).
-    """
-    return float(np.einsum("ijij->", fock_elements(d, cutoff).tensor))
-
-
 def m0_eval(g, psi, truncation=None):
     """Normalized product-state mean via the generating-function sum.
 
@@ -253,21 +235,8 @@ def _conditional(tensors, vecs, mode):
     return herm
 
 
-def conditional_matrix(op, vec, mode=2):
-    """Contract one mode of the element tensor with a unit vector.
-
-    mode=2 contracts the second mode (returns a matrix over mode 1) and
-    vice versa; the result is Hermitian.
-    """
-    return _conditional(op.tensor, np.asarray(vec), mode)
-
-
 def _mean_photons(vecs):
     return (np.arange(vecs.shape[-1]) * np.abs(vecs) ** 2).sum(axis=-1)
-
-
-def mean_photon(vec):
-    return float(_mean_photons(np.asarray(vec)))
 
 
 def random_state_vector(rng, dim):

@@ -22,8 +22,6 @@ from . import witness
 # largest Taylor table, prod(alpha_i + 1) entries, a trace may allocate; it
 # fills the numerator's and the denominator's tables as one stack of two
 MAX_TABLE_SIZE = 2**22
-# relative gap below which kernel_verdict reads a ~ b or c1 ~ c2 as equal
-KERNEL_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,35 +78,21 @@ def _form_maps(n):
     return lin, const
 
 
-def _char_forms(g, m=None):
+def _char_forms(g, m):
     """Quadratic forms of the kernel characteristic function and the detect correction.
 
-    Returns A0, with chi = exp(v A0 v / 2), for a kernel CM g; given a detect
-    CM m as well, returns (A0, Af) with f = v Af v / 2. One matmul by the
-    constant maps of :func:`_form_maps` gives A0, L and ccm(g + m), and
+    Returns (A0, Af) for a kernel CM g and a detect CM m, with chi = exp(v A0
+    v / 2) and f = v Af v / 2. One matmul by the constant maps of
+    :func:`_form_maps` gives A0, L and ccm(g + m), and
     Af = L^T ccm(g + m)^-1 L / 2.
     """
     d = g.shape[0]
     lin, const = _form_maps(d // 2)
-    x = np.concatenate((g.ravel(), (np.zeros_like(g) if m is None else m).ravel()))
-    forms = lin @ x + const
+    forms = lin @ np.concatenate((g.ravel(), m.ravel())) + const
     a0 = forms[: 4 * d * d].reshape(2 * d, 2 * d)
-    if m is None:
-        return a0
     lmap = forms[4 * d * d : 6 * d * d].reshape(d, 2 * d)
     af = lmap.T @ np.linalg.solve(forms[6 * d * d :].reshape(d, d), lmap)
     return a0, 0.25 * (af + af.T)  # the half of L^T ccm^-1 L, symmetrized
-
-
-def q_char_zero(gamma_g, eps, xi, eta, zeta):
-    """Characteristic function of the Q generating operator at z = 0."""
-    g = gamma_g.entries if isinstance(gamma_g, CovarianceMatrix) else np.asarray(gamma_g, float)
-    a0 = _char_forms(g)
-    v = np.concatenate([np.asarray(x, float) for x in (eps, xi, eta, zeta)])
-    val = np.exp(0.5 * v @ a0 @ v)
-    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-        raise ArithmeticError("characteristic function has unexpected imaginary part")
-    return float(val.real)
 
 
 def _count_alpha(s):
@@ -180,9 +164,9 @@ def kernel_verdict(gamma):
     if cm.n != 2:
         raise ValueError("kernel classification is defined for two-mode states")
     sf = standard_form(cm)
-    if abs(sf.a - sf.b) <= KERNEL_MATCH_TOL * max(1.0, sf.a):
+    if criteria.family_match(sf.a, sf.b):
         return criteria.symmetric_two_mode(sf.a, sf.c1, sf.c2)
-    if abs(sf.c1 - sf.c2) <= KERNEL_MATCH_TOL * max(1.0, sf.c1):
+    if criteria.family_match(sf.c1, sf.c2):
         return criteria.squeezed_thermal(sf.a, sf.b, sf.c1)
     lval, _ = witness.minimize_L(cm)
     return criteria.determinant_ratio(lval)

@@ -24,14 +24,10 @@ SYM_RTOL = 1e-12
 PSD_ATOL = 1e-9
 
 
-def symplectic_form(n):
-    """The 2n x 2n symplectic form, (0, 1; -1, 0) per mode."""
-    return _symplectic_form(n).copy()
-
-
 @lru_cache
 def _symplectic_form(n):
-    """Read-only shared :func:`symplectic_form`, built once per mode count."""
+    """The 2n x 2n symplectic form, (0, 1; -1, 0) per mode, read-only and
+    built once per mode count."""
     s = np.zeros((2 * n, 2 * n))
     for j in range(n):
         s[2 * j, 2 * j + 1] = 1.0
@@ -91,17 +87,6 @@ class ModePartition:
     @staticmethod
     def bipartite(n_a, n_b):
         return ModePartition(("A",) * n_a + ("B",) * n_b)
-
-
-@dataclass(frozen=True)
-class ComplexCM:
-    """2n x 2n complex covariance matrix in (a, a^dagger) block ordering."""
-
-    matrix: np.ndarray
-
-    @property
-    def n(self):
-        return self.matrix.shape[0] // 2
 
 
 @dataclass(frozen=True)
@@ -225,13 +210,9 @@ def standard_form(cm):
     return StandardForm(a=a, b=b, c1=q + r, c2=r - q)
 
 
-def to_complex_cm(cm):
-    """Transform a real CM into the complex covariance matrix (a, a^dagger ordering)."""
-    return ComplexCM(matrix=_ccm_matrix(cm.entries))
-
-
 def _ccm_matrix(entries):
-    """Complex CM of real CMs of shape (..., 2n, 2n), gathered block by block."""
+    """Complex CM, in (a, a^dagger) block ordering, of real CMs of shape
+    (..., 2n, 2n), gathered block by block."""
     n = entries.shape[-1] // 2
     gx, gp = entries[..., 0::2, 0::2], entries[..., 1::2, 1::2]
     gxp, gpx = entries[..., 0::2, 1::2], entries[..., 1::2, 0::2]
@@ -375,19 +356,6 @@ def gaussian_taylor(g, caps):
             np.divide(terms.sum(axis=0), root.take(bi)[:, None], out=c[lo:hi])
     t.reshape(stack, math.prod(box)).T[positions] = c
     return t
-
-
-def from_complex_cm(ccm):
-    """Invert :func:`to_complex_cm`."""
-    m = ccm.matrix
-    n = ccm.n
-    b11, b12 = m[:n, :n], m[:n, n:]
-    g = np.empty(m.shape)
-    g[0::2, 0::2] = np.real(b12 - b11)
-    g[1::2, 1::2] = np.real(b11 + b12)
-    g[0::2, 1::2] = np.imag(b11 + b12)
-    g[1::2, 0::2] = np.imag(b11 - b12)
-    return g
 
 
 def gaussian_overlap(g1, g2):

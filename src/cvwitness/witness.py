@@ -1,9 +1,8 @@
 """Gaussian detect-operator machinery.
 
-Houses the six-parameter detect operator, the two-fold kernel of the
-characteristic-function integral equation, the fixed-point equations for
-the extremal local CMs, the product-vacuum maximum Lambda, and the
-determinant-ratio statistic minimized over the detect family.
+Houses the six-parameter detect operator, the product-vacuum maximum
+Lambda, and the determinant-ratio statistic minimized over the detect
+family.
 """
 
 import enum
@@ -12,13 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NoConvergence, NotPhysical, OptimFailure, SingularGamma2
+from .errors import NotPhysical, OptimFailure
 from .symplectic import CovarianceMatrix, _symplectic_form, six_param_cm, standard_form
 
 _EPS = np.finfo(float).eps
-# fixed_point_AB stops once no entry moves by FIXED_POINT_TOL in one sweep
-FIXED_POINT_TOL = 1e-12
-FIXED_POINT_MAX_ITER = 10000
 
 
 class PositivityMode(enum.Enum):
@@ -54,75 +50,11 @@ class SixParamDetect:
     def cm(self):
         return six_param_cm(self.m1, self.m2, self.m3, self.m4, self.m5, self.m6)
 
-    @property
-    def gamma1(self):
-        return np.diag([self.m1, self.m2]).astype(float)
-
-    @property
-    def gamma2(self):
-        return np.diag([self.m3, self.m4]).astype(float)
-
-    @property
-    def gamma3(self):
-        return np.diag([self.m5, -self.m6]).astype(float)
-
     def swapped(self):
         """Interchange the two parties (M1<->M3, M2<->M4)."""
         return SixParamDetect(
             self.m3, self.m4, self.m1, self.m2, self.m5, self.m6, self.positivity
         )
-
-
-@dataclass(frozen=True)
-class OmegaMembership:
-    residual_a: float
-    residual_b: float
-
-    @property
-    def is_member(self):
-        return self.residual_a < 1e-9 and self.residual_b < 1e-9
-
-
-@dataclass(frozen=True)
-class TwoFoldKernelCM:
-    zeta: np.ndarray
-    omega: np.ndarray
-    gamma_2m: np.ndarray
-
-
-def two_fold_kernel(gamma1, gamma2, gamma3):
-    """Assemble the two-fold symmetric kernel CM from detect-operator blocks."""
-    if abs(np.linalg.det(gamma2)) < 1e-12:
-        raise SingularGamma2("gamma_2 block is singular")
-    omega = -0.5 * gamma3 @ np.linalg.inv(gamma2) @ gamma3.T
-    zeta = gamma1 + omega
-    gamma_2m = np.block([[zeta, omega], [omega, zeta]])
-    return TwoFoldKernelCM(zeta=zeta, omega=omega, gamma_2m=gamma_2m)
-
-
-def fixed_point_AB(gamma1, gamma2, gamma3):
-    """Alternating substitution for the extremal local CMs.
-
-    Starts from gamma_B = identity; returns (gamma_A, gamma_B, iterations).
-    """
-    dim = gamma2.shape[0]
-    gb = np.eye(dim)
-    ga = gamma1 - gamma3 @ np.linalg.inv(gamma2 + gb) @ gamma3.T
-    for it in range(1, FIXED_POINT_MAX_ITER + 1):
-        ga_new = gamma1 - gamma3 @ np.linalg.inv(gamma2 + gb) @ gamma3.T
-        gb_new = gamma2 - gamma3.T @ np.linalg.inv(gamma1 + ga_new) @ gamma3
-        delta = max(np.max(np.abs(ga_new - ga)), np.max(np.abs(gb_new - gb)))
-        ga, gb = ga_new, gb_new
-        if delta < FIXED_POINT_TOL:
-            return ga, gb, it
-    raise NoConvergence(f"fixed point not reached after {FIXED_POINT_MAX_ITER} iterations")
-
-
-def omega_residuals(d):
-    """Residuals of the two membership constraints of the detect-operator set Omega."""
-    ra = abs(d.m1 * d.m2 - d.m3 * d.m4)
-    rb = abs((d.m1 * d.m3 - d.m5**2) * (d.m2 * d.m4 - d.m6**2) - 1.0)
-    return OmegaMembership(residual_a=float(ra), residual_b=float(rb))
 
 
 def detect_determinant(d, x, y):

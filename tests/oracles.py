@@ -6,7 +6,10 @@ self-check that the constructed state reproduces the requested covariance
 matrix before returning it.
 """
 
+import math
+
 import numpy as np
+from numpy.polynomial.hermite import hermval
 from scipy.linalg import expm
 
 
@@ -105,3 +108,12 @@ def two_mode_squeezed_thermal_rho(nbar, r, cutoff, check_tol=1e-6):
             best_err, best_rho = err, rho
     assert best_err < check_tol, f"oracle self-check failed: CM error {best_err:.3e}"
     return best_rho
+
+
+def kernel_eigenfunction(beta, n, x):
+    """L2-normalized phi_n(x) = exp(-beta x^2) H_n(sqrt(2 beta) x) / norm, the
+    n-th eigenfunction of a Gaussian kernel with width parameter beta."""
+    x = np.asarray(x, dtype=float)
+    # ||e^{-beta x^2} H_n(sqrt(2 beta) x)||^2 = 2^n n! sqrt(pi / (2 beta))
+    norm = np.sqrt(2.0**n * math.factorial(n) * np.sqrt(np.pi / (2.0 * beta)))
+    return np.exp(-beta * x * x) * hermval(np.sqrt(2.0 * beta) * x, [0] * n + [1]) / norm

@@ -381,6 +381,32 @@ def test_non_finite_cm_is_an_error_not_a_verdict(tmp_path, capsys, command, doc)
     assert not out.exists()
 
 
+def test_witness_optimize_rejects_cm_beyond_float64(tmp_path, capsys):
+    # the CM is valid, but the determinants behind L overflow; that is no verdict
+    out = tmp_path / "r.json"
+    doc = {"cm": (1e200 * np.eye(4)).tolist()}
+    rc = cli.main(["witness-optimize", "--input", write_json(tmp_path / "s.json", doc),
+                   "--output", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "beyond float64 range" in captured.err
+    assert "Warning" not in captured.err
+    assert not out.exists()
+
+
+def test_family_match_is_relative_in_both_commands(tmp_path, capsys):
+    # a - b = 1e-10 is within the relative match band of both commands
+    kernel = {"standard_form": {"a": 2.0, "b": 2.0 - 1e-10, "c1": 0.5, "c2": 0.3}}
+    out = tmp_path / "r.json"
+    for command, doc in (("check-gaussian", kernel),
+                         ("check-nongaussian", {"family": "ngpasg", "add": [1, 0],
+                                                "sub": [0, 0], "kernel": kernel})):
+        assert cli.main([command, "--input", write_json(tmp_path / "s.json", doc),
+                         "--output", str(out)]) == 0
+        ids = [c["criterion_id"] for c in json.loads(out.read_text())["criteria"]]
+        assert "symmetric_two_mode" in ids
+
+
 @pytest.mark.parametrize("command, text", [
     ("kernel-spectrum", '{"alpha": -1, "r": 0.5}'),
     ("kernel-spectrum", '{"alpha": 1, "r": 1.5}'),

@@ -167,13 +167,6 @@ def test_biseparability_certificate_margin_shift():
     assert res[3] == pytest.approx(0.25, abs=1e-12)
 
 
-def test_cauchy_schwarz_vs_simon():
-    # the bound is weaker than Simon but detects the symmetric TMSV
-    sf = standard_form(validate_cm(families.two_mode_squeezed_vacuum(0.3)))
-    assert criteria.cauchy_schwarz_bound(sf).entangled
-    assert not criteria.cauchy_schwarz_bound(StandardForm(a=2.0, b=2.0, c1=0.4, c2=0.4)).entangled
-
-
 def test_refined_ww_check_direct():
     g = families.squeezed_thermal_cm(2.0, 2.0, 0.5)
     assert criteria.refined_ww_check(g, np.eye(2), np.eye(2))
@@ -185,8 +178,8 @@ def test_refined_ww_search_finds_certificate_for_separable():
     sf = StandardForm(a=2.0, b=2.0, c1=0.5, c2=0.5)
     found = criteria.refined_ww_search(sf)
     assert found is not None
-    ga, gb = criteria.certificate_cms(*found)
-    assert criteria.refined_ww_check(sf.to_cm(), ga, gb)
+    x, y = found
+    assert criteria.refined_ww_check(sf.to_cm(), np.diag([1.0 / x, x]), np.diag([y, 1.0 / y]))
 
 
 def test_refined_ww_search_fails_for_entangled():

@@ -15,14 +15,15 @@ def vacuum_detect():
 
 def test_beta_fock_vacuum():
     d = vacuum_detect()
-    beta, sdb = fock.beta_fock(d, 1.0, 1.0)
+    beta = fock._generating_matrices(d.cm(), 1.0, 1.0)
+    sdb = 4.0 / np.sqrt(witness.detect_determinant(d, 1.0, 1.0))
     assert sdb == pytest.approx(1.0)
     assert np.allclose(beta, -SIGMA1_I2, atol=1e-12)
 
 
 def test_beta_fock_decouples_without_coupling():
     d = SixParamDetect(2.0, 1.5, 1.2, 1.8, 0.0, 0.0, PositivityMode.OPERATOR_PSD)
-    beta, _ = fock.beta_fock(d, 1.3, 0.7)
+    beta = fock._generating_matrices(d.cm(), 1.3, 0.7)
     # modes decouple: no cross-mode entries in either block
     for blk in (beta[:2, :2], beta[:2, 2:], beta[2:, :2], beta[2:, 2:]):
         assert abs(blk[0, 1]) < 1e-12 and abs(blk[1, 0]) < 1e-12
@@ -31,7 +32,8 @@ def test_beta_fock_decouples_without_coupling():
 def test_sqrt_det_beta_identity_at_arbitrary_points():
     d = fock.random_detect_operator(12)
     for x, y in [(0.5, 2.0), (1.0, 1.0), (3.0, 0.4)]:
-        beta, sdb = fock.beta_fock(d, x, y)
+        beta = fock._generating_matrices(d.cm(), x, y)
+        sdb = 4.0 / np.sqrt(witness.detect_determinant(d, x, y))
         assert sdb == pytest.approx(np.sqrt(abs(np.linalg.det(beta))), rel=1e-9)
         assert sdb == pytest.approx(
             4.0 / np.sqrt(witness.detect_determinant(d, x, y)), rel=1e-9
@@ -62,7 +64,7 @@ def test_generating_matrix_matches_beta():
     for seed in range(5):
         d = fock.random_detect_operator(seed)
         g = fock.generating_coeffs(d)
-        beta, _ = fock.beta_fock(d, g.x, g.y)
+        beta = fock._generating_matrices(d.cm(), g.x, g.y)
         gm = beta + SIGMA1_I2
         assert np.max(np.abs(np.diag(gm))) < 1e-12
         for n, (i, j) in zip((g.n1, g.n2, g.n3, g.n4), ((0, 1), (0, 2), (0, 3), (1, 3))):
@@ -97,7 +99,8 @@ def test_fock_elements_symmetric():
 
 def test_fock_trace_converges_to_one():
     d = fock.random_detect_operator(7)
-    errs = [abs(fock.fock_trace(d, c) - 1.0) for c in (10, 20, 30)]
+    errs = [abs(np.einsum("ijij->", fock.fock_elements(d, c).tensor) - 1.0)
+            for c in (10, 20, 30)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-2
 
@@ -142,7 +145,7 @@ def test_m0_cutoff_convergence():
         b[0] = 1.0
         b /= np.linalg.norm(b)
         psi = ProductStateVec(a=a, b=b)
-        assert fock.mean_photon(a) < 2.0
+        assert fock._mean_photons(a) < 2.0
         m6 = fock.m0_eval(g, psi, truncation=6)
         m8 = fock.m0_eval(g, psi, truncation=8)
         assert abs(m6 - m8) < 1e-4
@@ -153,7 +156,7 @@ def test_conditional_matrix_vacuum_column():
     op = fock.fock_elements(d, 6)
     e0 = np.zeros(6, dtype=complex)
     e0[0] = 1.0
-    mat = fock.conditional_matrix(op, e0, mode=2)
+    mat = fock._conditional(op.tensor, e0, 2)
     assert np.allclose(mat, op.tensor[:, 0, :, 0], atol=1e-12)
 
 
@@ -163,7 +166,7 @@ def test_conditional_matrix_hermitian():
     op = fock.fock_elements(d, 6)
     for mode in (1, 2):
         b = fock.random_state_vector(rng, 6)
-        mat = fock.conditional_matrix(op, b, mode=mode)
+        mat = fock._conditional(op.tensor, b, mode)
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-10
 
 
@@ -173,7 +176,7 @@ def test_conditional_matrix_eigenvalue_bounded_by_lambda():
     lam, _, _ = witness.lambda_product_vacuum(d)
     rng = np.random.default_rng(5)
     b = fock.random_state_vector(rng, 6)
-    top = np.linalg.eigvalsh(fock.conditional_matrix(op, b))[-1]
+    top = np.linalg.eigvalsh(fock._conditional(op.tensor, b, 2))[-1]
     assert top <= op.sqrt_det_beta * (1.0 + 1e-6)
 
 
@@ -201,7 +204,7 @@ def test_conditional_matrix_rejects_unnormalized_vector():
     e0 = np.zeros(6, dtype=complex)
     e0[0] = 1.0
     with pytest.raises(ValueError):
-        fock.conditional_matrix(op, 2.0 * e0)
+        fock._conditional(op.tensor, 2.0 * e0, 2)
 
 
 def stacked_inputs(cutoff, count=8):

@@ -1,16 +1,16 @@
+import mpmath
 import numpy as np
 import pytest
 
-from cvwitness.errors import GridTooNarrow
 from cvwitness.kernelspec import (
     KernelSpec,
     analytic_eigenvalue,
-    apply_kernel,
-    eigenfunction,
     legendre_grid,
     nystrom_spectrum,
     trace_identity,
 )
+
+from oracles import kernel_eigenfunction
 
 
 def test_spec_validation():
@@ -53,26 +53,19 @@ def test_eigenfunctions_are_orthonormal():
     xs, ws = legendre_grid(k)
     for m in range(4):
         for n in range(4):
-            ip = np.sum(ws * eigenfunction(k, m, xs) * eigenfunction(k, n, xs))
+            ip = np.sum(ws * kernel_eigenfunction(k.beta, m, xs)
+                        * kernel_eigenfunction(k.beta, n, xs))
             assert ip == pytest.approx(1.0 if m == n else 0.0, abs=1e-10)
 
 
 def test_apply_kernel_reproduces_eigenvalue():
     k = KernelSpec(alpha=1.5, r=0.4)
-    grid = legendre_grid(k)
-    xs, _ = grid
+    xs, ws = legendre_grid(k)
     for n in range(5):
-        phi = eigenfunction(k, n, xs)
-        out = apply_kernel(k, phi, grid)
+        phi = kernel_eigenfunction(k.beta, n, xs)
+        out = k.kappa(xs[:, None], xs[None, :]) @ (ws * phi)
         mu = analytic_eigenvalue(k, n)
         assert np.max(np.abs(out - mu * phi)) < 1e-8
-
-
-def test_apply_kernel_rejects_narrow_grid():
-    k = KernelSpec(alpha=1.0, r=0.5)
-    grid = legendre_grid(k, half_width=1.0)
-    with pytest.raises(GridTooNarrow):
-        apply_kernel(k, np.ones_like(grid[0]), grid)
 
 
 def test_nystrom_matches_analytic():
@@ -90,6 +83,9 @@ def test_trace_identity_against_spectrum():
     assert sum(vals) == pytest.approx(trace_identity(k), abs=1e-8)
 
 
-def test_nystrom_minimum_grid():
-    with pytest.raises(ValueError):
-        nystrom_spectrum(KernelSpec(alpha=1.0, r=0.5), grid_size=32)
+def test_trace_identity_at_subnormal_scale():
+    # 2 alpha (1 - r) is subnormal here; pi over it overflowed to inf
+    k = KernelSpec(alpha=1e-298, r=1 - 1e-16)
+    with mpmath.workdps(50):
+        want = mpmath.sqrt(mpmath.pi / (2 * mpmath.mpf(k.alpha) * (1 - mpmath.mpf(k.r))))
+        assert abs(trace_identity(k) - want) <= 1e-14 * want

@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 
 from cvwitness import families, fock, witness
-from cvwitness.errors import NotPhysical, OptimFailure, SingularGamma2
+from cvwitness.errors import NotPhysical, OptimFailure
 from cvwitness.symplectic import StandardForm, standard_form, validate_cm
 from cvwitness.witness import PositivityMode, SixParamDetect
-
-
-def omega_member(m, m5):
-    """Symmetric Omega member: M1..M4 = m, M6 fixed by the purity constraint."""
-    m6 = np.sqrt(m * m - 1.0 / (m * m - m5 * m5))
-    return SixParamDetect(m, m, m, m, m5, m6, PositivityMode.OPERATOR_PSD)
 
 
 def test_detect_operator_positivity_check():
@@ -43,47 +37,6 @@ def test_swapped_exchanges_parties():
     s = d.swapped()
     assert (s.m1, s.m2, s.m3, s.m4) == (3.0, 4.0, 1.0, 2.0)
     assert (s.m5, s.m6) == (d.m5, d.m6)
-
-
-def test_two_fold_kernel_blocks():
-    d = omega_member(2.0, 1.2)
-    k = witness.two_fold_kernel(d.gamma1, d.gamma2, d.gamma3)
-    expected_omega = -0.5 * d.gamma3 @ np.linalg.inv(d.gamma2) @ d.gamma3.T
-    assert np.allclose(k.omega, expected_omega)
-    assert np.allclose(k.zeta, d.gamma1 + expected_omega)
-    assert np.allclose(k.gamma_2m[:2, 2:], k.omega)
-
-
-def test_two_fold_kernel_singular_gamma2():
-    with pytest.raises(SingularGamma2):
-        witness.two_fold_kernel(np.eye(2), np.zeros((2, 2)), np.eye(2))
-
-
-def test_fixed_point_solves_equations():
-    d = omega_member(2.0, 1.2)
-    ga, gb, it = witness.fixed_point_AB(d.gamma1, d.gamma2, d.gamma3)
-    assert it < 1000
-    ra = ga - (d.gamma1 - d.gamma3 @ np.linalg.inv(d.gamma2 + gb) @ d.gamma3.T)
-    rb = gb - (d.gamma2 - d.gamma3.T @ np.linalg.inv(d.gamma1 + ga) @ d.gamma3)
-    assert np.max(np.abs(ra)) < 1e-10
-    assert np.max(np.abs(rb)) < 1e-10
-
-
-def test_fixed_point_locals_pure_for_omega_members():
-    for m, m5 in [(2.0, 1.2), (1.5, 0.8), (3.0, 2.0)]:
-        d = omega_member(m, m5)
-        assert witness.omega_residuals(d).is_member
-        ga, gb, _ = witness.fixed_point_AB(d.gamma1, d.gamma2, d.gamma3)
-        assert np.linalg.det(ga) == pytest.approx(1.0, abs=1e-9)
-        assert np.linalg.det(gb) == pytest.approx(1.0, abs=1e-9)
-        # closed form for the symmetric case
-        assert ga[0, 0] == pytest.approx(np.sqrt(m * m - m5**2), abs=1e-9)
-        assert ga[1, 1] == pytest.approx(np.sqrt(m * m - d.m6**2), abs=1e-9)
-
-
-def test_omega_residuals_nonmember():
-    d = SixParamDetect(1.0, 1.0, 2.0, 2.0, 0.0, 0.0, PositivityMode.OPERATOR_PSD)
-    assert not witness.omega_residuals(d).is_member
 
 
 def test_detect_determinant_matches_direct():

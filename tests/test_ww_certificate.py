@@ -60,6 +60,11 @@ def _ww_locals(x, y):
     return np.diag([1.0 / x, x, 1.0 / x, x]), np.diag([1.0 / y, y, 1.0 / y, y])
 
 
+def _sf_locals(x, y):
+    """Pure local CMs of a refined_ww_search certificate."""
+    return np.diag([1.0 / x, x]), np.diag([y, 1.0 / y])
+
+
 @pytest.mark.parametrize("margin", MARGINS)
 def test_ww_pair_near_boundary(margin):
     for p in _near_boundary("ww", margin, 300, seed=13):
@@ -79,7 +84,7 @@ def test_refined_search_near_boundary(margin):
         found = criteria.refined_ww_search(sf)
         assert (found is not None) == (m >= 0)
         if found is not None:
-            assert criteria.refined_ww_check(sf.to_cm(), *criteria.certificate_cms(*found))
+            assert criteria.refined_ww_check(sf.to_cm(), *_sf_locals(*found))
 
 
 def test_vacuum_certificate():
@@ -91,7 +96,7 @@ def test_product_state_certificate(a, b):
     sf = StandardForm(a=a, b=b, c1=0.0, c2=0.0)
     found = criteria.refined_ww_search(sf)
     assert found is not None
-    assert criteria.refined_ww_check(sf.to_cm(), *criteria.certificate_cms(*found))
+    assert criteria.refined_ww_check(sf.to_cm(), *_sf_locals(*found))
 
 
 @pytest.mark.parametrize("c1, c2", [(0.0, 0.6), (0.0, -1.15), (0.9, 0.0), (1.15, 0.0)])
@@ -102,7 +107,7 @@ def test_one_quadrature_uncoupled(c1, c2):
     validate_cm(sf.to_cm())
     found = criteria.refined_ww_search(sf)
     assert found is not None
-    assert criteria.refined_ww_check(sf.to_cm(), *criteria.certificate_cms(*found))
+    assert criteria.refined_ww_check(sf.to_cm(), *_sf_locals(*found))
 
 
 @pytest.mark.parametrize(
