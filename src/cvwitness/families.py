@@ -5,10 +5,6 @@ import numpy as np
 from .symplectic import six_param_cm
 
 
-def two_mode_squeezed_vacuum(r):
-    return squeezed_thermal_cm(np.cosh(2 * r), np.cosh(2 * r), np.sinh(2 * r))
-
-
 def squeezed_thermal_cm(a, b, c):
     """Blocks a*I, b*I with coupling c*sigma_3 (x-x coupling +c, p-p coupling -c)."""
     return six_param_cm(a, a, b, b, c, c)

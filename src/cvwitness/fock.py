@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrix, StationarityViolated
-from .symplectic import _ccm_matrix, gaussian_taylor, six_param_cm
+from .symplectic import _ccm_matrix, gaussian_taylor
 from .witness import PositivityMode, SixParamDetect, detect_determinant, lambda_product_vacuum
 
 _SIGMA1_I2 = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
@@ -333,7 +333,7 @@ def random_detect_operator(seed):
         r = rng.normal(size=(4, 4))
         g = r @ r.T + _JITTER * np.eye(4)
         m = (g[0, 0], g[1, 1], g[2, 2], g[3, 3], g[0, 2], -g[1, 3])
-        if np.linalg.eigvalsh(six_param_cm(*m))[0] < 0.0:
+        if SixParamDetect.least_eigenvalue(*m) < 0.0:
             continue
         return SixParamDetect(*m, positivity=PositivityMode.OPERATOR_PSD)
     raise RuntimeError("rejection sampling failed to produce a positive operator")

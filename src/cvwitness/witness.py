@@ -6,12 +6,13 @@ family.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NotPhysical, OptimFailure
+from .errors import NotPhysical, OptimFailure, ValidationError
 from .symplectic import CovarianceMatrix, _symplectic_form, six_param_cm, standard_form
 
 _EPS = np.finfo(float).eps
@@ -40,12 +41,19 @@ class SixParamDetect:
     positivity: PositivityMode
 
     def __post_init__(self):
-        g = self.cm()
         if self.positivity is PositivityMode.QUANTUM_STATE:
-            g = g + 1j * _symplectic_form(2)
-        w = np.linalg.eigvalsh(g)
-        if w[0] < -1e-9:
-            raise NotPhysical(w[0])
+            least = np.linalg.eigvalsh(self.cm() + 1j * _symplectic_form(2))[0]
+        else:
+            least = self.least_eigenvalue(self.m1, self.m2, self.m3, self.m4, self.m5, self.m6)
+        if least < -1e-9:
+            raise NotPhysical(least)
+
+    @staticmethod
+    def least_eigenvalue(m1, m2, m3, m4, m5, m6):
+        """Least eigenvalue of the assembled matrix: of its blocks [[m1, m5], [m5, m3]] and
+        [[m2, -m6], [-m6, m4]], each [[p, r], [r, q]] giving (p + q)/2 - hypot((p - q)/2, r)."""
+        return min(0.5 * (m1 + m3) - math.hypot(0.5 * (m1 - m3), m5),
+                   0.5 * (m2 + m4) - math.hypot(0.5 * (m2 - m4), m6))
 
     def cm(self):
         return six_param_cm(self.m1, self.m2, self.m3, self.m4, self.m5, self.m6)
@@ -140,38 +148,24 @@ def _schedule_detect(m1, u):
 # of gamma_M indefinite, so u runs over [1e-4, hi].
 _SCHEDULE_M1 = np.array([1e2, 1e3, 1e4])
 _SCHEDULE_HI = np.sqrt(_SCHEDULE_M1 / (_SCHEDULE_M1 + 1.0)) * (1.0 - 1e-9)
-# On the schedule gamma_M = D + K V V^T, with K = M1 + 1, D = diag(-1, -1, 1, 1)
-# and V = [e0 + u e2, e1 - u e3]. With G = g + D, the Laplace expansion of the
-# rank-two update reads
-#   det(g + gamma_M) = det G + K sum_ij W_ij det G[i', j']
-#                      + K^2 sum_ST v_S v_T det G[S', T'],
-# W = V V^T, v_S the minor of V on the row pair S, ' the complement. W_ij is 0
-# unless i = j mod 2, and the pairs with v_S != 0 have odd index sums, so no
-# cofactor sign enters. Each W_ij and v_S v_T is a signed power of u: per sum,
-# the complements, then each term's sign and power of u.
-_SCHEDULE_D = np.diag([-1.0, -1.0, 1.0, 1.0])
-_ROW_TERMS = (np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]),
-              np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0]) * np.tile(np.eye(2), (2, 2)),
-              np.add.outer([0, 0, 1, 1], [0, 0, 1, 1]))
-_PAIR_TERMS = (np.array([[2, 3], [1, 2], [0, 3], [0, 1]]),    # v_S = 1, -u, -u, -u^2
-               np.outer([1.0, -1.0, -1.0, -1.0], [1.0, -1.0, -1.0, -1.0]),
-               np.add.outer([0, 1, 1, 2], [0, 1, 1, 2]))
 
 
-def _minor_quartic(G, complements, signs, powers):
-    """Coefficients, lowest power first, of sum_ST signs_ST u^powers_ST det G[S', T']."""
-    minors = np.linalg.det(G[complements[:, None, :, None], complements[None, :, None, :]])
-    return np.bincount(powers.ravel(), (signs * minors).ravel(), minlength=5)
+def _schedule_quartics(a, b, c1, c2):
+    """Coefficients (3, 5), lowest power first, of det(sf + gamma_M) / (4 (M1+1)^2)
+    as quartics in u, one row per schedule M1, for the standard form (a, b, c1, c2).
 
-
-def _schedule_quartics(g):
-    """Coefficients (3, 5), lowest power first, of det(g + gamma_M) / (4 (M1+1)^2)
-    as quartics in u, one row per schedule M1."""
-    G = g + _SCHEDULE_D
-    k = _SCHEDULE_M1[:, None] + 1.0
-    coeffs = _minor_quartic(G, *_PAIR_TERMS) + _minor_quartic(G, *_ROW_TERMS) / k
-    coeffs[:, :1] += np.linalg.det(G) / (k * k)
-    return 0.25 * coeffs
+    Both matrices have the six-parameter layout, so the determinant is the
+    product of the x- and p-sector determinants; divided by 2K, K = M1 + 1,
+    each is ((a + M1)(b + 1) - c^2) / (2K) - c u + (a - 1) u^2 / 2, with c = c1
+    in the x sector and c = c2 in the p sector.
+    """
+    s, rows = 0.5 * (a - 1.0), []
+    cubic, quartic = -(c1 + c2) * s, s * s
+    for m1 in _SCHEDULE_M1.tolist():
+        base, k2 = (a + m1) * (b + 1.0), 2.0 * (m1 + 1.0)
+        x0, p0 = (base - c1 * c1) / k2, (base - c2 * c2) / k2
+        rows.append((x0 * p0, -(c2 * x0 + c1 * p0), (x0 + p0) * s + c1 * c2, cubic, quartic))
+    return np.array(rows)
 
 
 def _cubic_roots(d):
@@ -200,28 +194,37 @@ def _cubic_roots(d):
 def minimize_L(gamma):
     """Minimize the determinant ratio over the structured detect family.
 
-    Minimizes a large-parameter schedule exactly for each M1 and compares the
-    analytic infinite-parameter limit (b+1)/2 - c^2/(2(a-1)); returns
-    (L, best_detect) where best_detect is None when the analytic limit wins.
+    Minimizes a large-parameter schedule exactly for each M1 on the standard
+    form sf of gamma in both party orders, so L is the same in every local
+    frame and party order, and compares the analytic infinite-parameter limit
+    (b+1)/2 - c^2/(2(a-1)). Returns (L, best_detect): best_detect is None when
+    the limit wins, else it is in the frame of sf, L_ratio(sf.to_cm(),
+    best_detect) == L. Raises ValidationError when sf is not finite in float64.
     """
     sf = standard_form(gamma) if isinstance(gamma, CovarianceMatrix) else gamma
     a, b = (sf.a, sf.b) if sf.a >= sf.b else (sf.b, sf.a)
     c = 0.5 * (sf.c1 + sf.c2)
-    g = gamma.entries if isinstance(gamma, CovarianceMatrix) else sf.to_cm()
+    if not math.isfinite(a + b + c):
+        raise ValidationError("the standard form is beyond float64 range")
 
     # The sector factors of det(gamma_M + diag(x, 1/x, y, 1/y)) are posynomials
     # in (x, y), with constant term M1 - u^2 (M1+1) >= 0 up to hi, that trade
     # places under (x, y) -> (1/x, 1/y); so the log-convex determinant is least
-    # at x = y = 1, where it is 4 (M1+1)^2 for every u.
-    coeffs = _schedule_quartics(g)
+    # at x = y = 1, where it is 4 (M1+1)^2 for every u. Rows 3-5 take the
+    # parties swapped, (b, a, c1, c2).
+    coeffs = np.vstack((_schedule_quartics(sf.a, sf.b, sf.c1, sf.c2),
+                        _schedule_quartics(sf.b, sf.a, sf.c1, sf.c2)))
     # the quartic is least at an end or a real stationary point (complex ones
     # clipped, as spare candidates); the clip takes the ends in as 0 and inf
     roots = _cubic_roots(coeffs[:, :0:-1] * np.arange(4.0, 0.0, -1.0))
-    us = np.clip(np.hstack(([[0.0, np.inf]] * 3, roots.real)), 1e-4, _SCHEDULE_HI[:, None])
+    hi = np.tile(_SCHEDULE_HI, 2)[:, None]
+    us = np.clip(np.hstack(([[0.0, np.inf]] * len(coeffs), roots.real)), 1e-4, hi)
     vals = (us[..., None] ** np.arange(5) * coeffs[:, None]).sum(axis=-1)
-    k, i = divmod(int(np.argmin(vals)), vals.shape[-1])
-    best_val = float(vals[k, i])
-    best_d = _schedule_detect(float(_SCHEDULE_M1[k]), float(us[k, i]))
+    row, i = divmod(int(np.argmin(vals)), vals.shape[-1])
+    best_val = float(vals[row, i])
+    best_d = _schedule_detect(float(_SCHEDULE_M1[row % len(_SCHEDULE_M1)]), float(us[row, i]))
+    if row >= len(_SCHEDULE_M1):
+        best_d = best_d.swapped()
     if a > 1.0:
         limit = 0.5 * (b + 1.0) - c * c / (2.0 * (a - 1.0))
         if limit < best_val:

@@ -8,11 +8,15 @@ that is gone crashes the benchmark, so the trim that drops it fails here.
 import ast
 import importlib
 import importlib.util
+import math
+import os
+import sys
 from pathlib import Path
 
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 def test_tracing_targets_resolve():
@@ -84,3 +88,25 @@ def test_workloads_use_the_package():
     # guards the scan itself: the workloads reach the engine through these names
     assert {"cvwitness.witness.minimize_L", "cvwitness.witness.SixParamDetect",
             "cvwitness.errors.UnsupportedOrder"} <= set(package_lookups(PERFBENCH / "workloads.py"))
+
+
+def test_import_times_sees_every_module(monkeypatch):
+    # a traced run times `import cvwitness` in a fresh interpreter and reads
+    # each IMPORTS module off its -X importtime lines; a module the import no
+    # longer loads crashes that run, so the change that drops it fails here
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    bare = set(sys.modules)
+    try:
+        spec.loader.exec_module(worker)
+        times = worker.import_times(repeats=1)
+    finally:
+        # the benchmark's own modules import each other by bare name
+        for name in set(sys.modules) - bare:
+            if Path(getattr(sys.modules[name], "__file__", None) or "/").parent == PERFBENCH:
+                del sys.modules[name]
+    assert set(times) == set(worker.IMPORTS)
+    assert all(math.isfinite(t) and t >= 0.0 for t in times.values()), times

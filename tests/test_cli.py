@@ -269,7 +269,7 @@ C10 = [[3.0, 0.4, 1.2, 0.1], [0.4, 2.5, -0.3, -0.9], [1.2, -0.3, 2.8, 0.2], [0.1
     ("witness-optimize", {"cm": EYE4},
      "7228572d1edad37282866afe0d1beed9a06026cc672e8b0dc4efaa6301183b51"),
     ("witness-optimize", {"family": "squeezed_thermal", "a": 2, "b": 2, "c": 1.5},
-     "0bc6888b330eb7fa92483570673fb6f6fa44e19151f52b05005a93f5c7e569aa"),
+     "3c4ccd0b713f2bd40273be4b6ed79737b22ae72eb90ae72c6b37adf4d4cec198"),
     ("witness-optimize", {"cm": C10},
      "745f1b98372e571771647999a9aaf924ac94fd109f39acb6d3e54dc9e6a40fb4"),
     ("check-nongaussian", {"family": "ngpasg", "add": [1, 1], "sub": [0, 0],
@@ -391,6 +391,19 @@ def test_witness_optimize_rejects_cm_beyond_float64(tmp_path, capsys):
     assert rc == 1 and captured.out == ""
     assert captured.err.startswith("error:") and "beyond float64 range" in captured.err
     assert "Warning" not in captured.err
+    assert not out.exists()
+
+
+def test_witness_optimize_rejects_standard_form_beyond_float64(tmp_path, capsys):
+    # finite entries whose standard form is not finite (its block determinants
+    # overflow): an input error, not a linear-algebra traceback
+    out = tmp_path / "r.json"
+    doc = {"cm": (1e160 * np.array(C10)).tolist()}
+    rc = cli.main(["witness-optimize", "--input", write_json(tmp_path / "s.json", doc),
+                   "--output", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "beyond float64 range" in captured.err
     assert not out.exists()
 
 

@@ -43,7 +43,7 @@ def test_nan_margin_is_not_a_verdict():
 
 
 def test_simon_detects_tmsv():
-    sf = standard_form(validate_cm(families.two_mode_squeezed_vacuum(0.4)))
+    sf = standard_form(validate_cm(families.symmetric_squeezed_thermal(0.0, 0.4)))
     assert criteria.simon_criterion(sf).entangled
 
 
@@ -183,7 +183,7 @@ def test_refined_ww_search_finds_certificate_for_separable():
 
 
 def test_refined_ww_search_fails_for_entangled():
-    sf = standard_form(validate_cm(families.two_mode_squeezed_vacuum(0.5)))
+    sf = standard_form(validate_cm(families.symmetric_squeezed_thermal(0.0, 0.5)))
     assert criteria.refined_ww_search(sf) is None
 
 

@@ -302,3 +302,29 @@ def test_traces_reject_detect_cm_not_positive_semidefinite(monkeypatch):
     for trace in (nongaussian.ngpasg_trace_finite, nongaussian.ngpasg_trace_limit):
         with pytest.raises(NotPhysical):
             trace(s, -0.5 * np.eye(2))
+
+
+def test_limit_gap_is_C_over_lambda():
+    # acceptance 8's 20 kernels: the relative gap between the finite trace and
+    # its limit is C / lambda, with C >= 2 and already settled at lambda = 1e4,
+    # so no lambda of that order meets a 1e-4 gap
+    rng = np.random.default_rng(8)
+    cs = []
+    while len(cs) < 20:
+        a = rng.uniform(1.1, 2.5)
+        b = rng.uniform(1.1, 2.5)
+        c = rng.uniform(0.0, np.sqrt((a - 1.0) * (b - 1.0)))
+        try:
+            g = validate_cm(families.squeezed_thermal_cm(a, b, c))
+        except NotPhysical:
+            continue
+        s = NGPASGSpec(kernel=g, adds=(1, 1), subs=(0, 0))
+        row = []
+        for lam in (1e3, 1e4, 1e5):
+            gm = lam * np.eye(4)
+            lim = nongaussian.ngpasg_trace_limit(s, gm)
+            row.append(lam * abs(nongaussian.ngpasg_trace_finite(s, gm) - lim) / abs(lim))
+        cs.append(row)
+    cs = np.array(cs)
+    assert cs.min() >= 2.0
+    assert np.all(np.abs(cs[:, 2] - cs[:, 1]) < 5e-3 * cs[:, 1])

@@ -83,7 +83,7 @@ def test_thermal_symplectic_eigenvalues():
 
 def test_tmsv_is_pure_and_ppt_detects_it():
     r = 0.6
-    cm = validate_cm(families.two_mode_squeezed_vacuum(r))
+    cm = validate_cm(families.symmetric_squeezed_thermal(0.0, r))
     assert symplectic_eigenvalues(cm) == pytest.approx([1.0, 1.0], abs=1e-10)
     nu = min_pt_symplectic_eigenvalue(cm, ModePartition.bipartite(1, 1))
     assert nu == pytest.approx(np.exp(-2 * r), abs=1e-10)

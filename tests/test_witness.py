@@ -7,7 +7,7 @@ import pytest
 
 from cvwitness import families, fock, witness
 from cvwitness.errors import NotPhysical, OptimFailure
-from cvwitness.symplectic import StandardForm, standard_form, validate_cm
+from cvwitness.symplectic import StandardForm, six_param_cm, standard_form, validate_cm
 from cvwitness.witness import PositivityMode, SixParamDetect
 
 
@@ -22,6 +22,26 @@ def test_detect_operator_quantum_state_mode():
     SixParamDetect(0.5, 0.5, 0.5, 0.5, 0.0, 0.0, PositivityMode.OPERATOR_PSD)
     with pytest.raises(NotPhysical):
         SixParamDetect(0.5, 0.5, 0.5, 0.5, 0.0, 0.0, PositivityMode.QUANTUM_STATE)
+
+
+@pytest.mark.parametrize("m", [
+    (2.0, 3.0, 1.5, 0.5, 0.7, -1.1),   # both blocks positive definite
+    (1.0, 2.0, 4.0, 0.5, 2.0, 0.3),    # a zero eigenvalue in the x block, m1 m3 = m5^2
+    (2.0, 1.0, 1.0, 4.0, 0.5, -2.0),   # a zero eigenvalue in the p block, m2 m4 = m6^2
+    (1.0, 1.0, 1.0, 1.0, 3.0, 0.2),    # the x block indefinite
+    (1.0, -2.0, 1.0, 0.5, 0.1, 0.0),   # the p block negative on its diagonal
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+])
+def test_least_eigenvalue_matches_eigvalsh(m):
+    want = np.linalg.eigvalsh(six_param_cm(*m))[0]
+    assert abs(SixParamDetect.least_eigenvalue(*m) - want) <= 1e-15 * max(1.0, np.abs(m).max())
+
+
+def test_least_eigenvalue_random():
+    rng = np.random.default_rng(17)
+    for m in rng.normal(size=(500, 6)) * rng.uniform(0.1, 10.0, size=(500, 1)):
+        want = np.linalg.eigvalsh(six_param_cm(*m))[0]
+        assert abs(SixParamDetect.least_eigenvalue(*m) - want) <= 4e-15 * np.abs(m).max()
 
 
 def test_cm_assembly_signs():
@@ -191,7 +211,7 @@ def test_minimize_L_signs():
     g_sep = validate_cm(families.squeezed_thermal_cm(2.0, 2.0, 0.5))
     l_sep, _ = witness.minimize_L(g_sep)
     assert l_sep > 1.0 - 1e-9
-    g_ent = validate_cm(families.two_mode_squeezed_vacuum(0.4))
+    g_ent = validate_cm(families.symmetric_squeezed_thermal(0.0, 0.4))
     l_ent, d = witness.minimize_L(g_ent)
     assert l_ent < 1.0
 
@@ -273,33 +293,43 @@ def schedule_ratios(g, m1, us):
     return 0.25 * np.linalg.det(m)
 
 
+def both_orders(state):
+    """The standard form of a minimize_L input, then with the parties swapped."""
+    sf = state if isinstance(state, StandardForm) else standard_form(state)
+    return sf, StandardForm(a=sf.b, b=sf.a, c1=sf.c1, c2=sf.c2)
+
+
 def test_minimize_L_is_schedule_minimum():
-    wins = 0
+    # minimize_L takes the schedule on the standard form in both party orders,
+    # and its winner is in the standard-form frame of the caller's party order
+    wins = swapped = 0
     for state in minimize_L_inputs():
         lval, d = witness.minimize_L(state)
-        g = state.to_cm() if isinstance(state, StandardForm) else state.entries
-        for m1 in SCHEDULE_M1:
-            grid = np.linspace(1e-4, schedule_u_max(m1), 2001)
-            assert schedule_ratios(g, m1, grid).min() >= lval * (1.0 - 1e-12)
+        sf, sf_swapped = both_orders(state)
+        for g in (sf.to_cm(), sf_swapped.to_cm()):
+            for m1 in SCHEDULE_M1:
+                grid = np.linspace(1e-4, schedule_u_max(m1), 2001)
+                assert schedule_ratios(g, m1, grid).min() >= lval * (1.0 - 1e-12)
         if d is not None:
             wins += 1
-            assert witness.L_ratio(g, d) == pytest.approx(lval, rel=1e-11)
-    assert wins > 0
+            swapped += d.m1 not in SCHEDULE_M1
+            assert witness.L_ratio(sf.to_cm(), d) == pytest.approx(lval, rel=1e-11)
+    assert wins > swapped > 0
 
 
 def polyfit_minimize_L(state):
     """minimize_L by per-M1 np.polyfit, np.polyder and np.roots calls."""
-    sf = state if isinstance(state, StandardForm) else standard_form(state)
-    g = state.to_cm() if isinstance(state, StandardForm) else state.entries
+    sf, sf_swapped = both_orders(state)
     a, b = max(sf.a, sf.b), min(sf.a, sf.b)
     c = 0.5 * (sf.c1 + sf.c2)
     best = 0.5 * (b + 1.0) - c * c / (2.0 * (a - 1.0)) if a > 1.0 else np.inf
-    for m1 in SCHEDULE_M1:
-        nodes = np.linspace(1e-4, schedule_u_max(m1), 5)
-        fit = np.polyfit(nodes, schedule_ratios(g, m1, nodes), 4)
-        us = np.concatenate((nodes, np.clip(np.roots(np.polyder(fit)).real, 1e-4,
-                                            schedule_u_max(m1))))
-        best = min(best, schedule_ratios(g, m1, us).min())
+    for g in (sf.to_cm(), sf_swapped.to_cm()):
+        for m1 in SCHEDULE_M1:
+            nodes = np.linspace(1e-4, schedule_u_max(m1), 5)
+            fit = np.polyfit(nodes, schedule_ratios(g, m1, nodes), 4)
+            us = np.concatenate((nodes, np.clip(np.roots(np.polyder(fit)).real, 1e-4,
+                                                schedule_u_max(m1))))
+            best = min(best, schedule_ratios(g, m1, us).min())
     return best
 
 
@@ -307,15 +337,17 @@ def polyfit_minimize_L(state):
 @pytest.mark.parametrize("state", [validate_cm(np.eye(4)), StandardForm(1.0, 1.0, 0.0, 0.0),
                                    StandardForm(1.0, 2.0, 0.0, 0.0)])
 def test_minimize_L_rounding_level_quartic(state, nudged):
-    # the quartic is constant in u here: its minors leave the derivative
-    # exactly 0. Nudged at the 1e-13 level, the derivative's coefficients, the
-    # leading one included, are rounding-level but nonzero; no division may warn.
+    # the quartic is constant in u here: a = 1 and c1 = c2 = 0 leave the sector
+    # quadratics no u terms. Nudged at the 1e-13 level, the derivative's
+    # coefficients, the leading one included, are rounding-level but nonzero;
+    # no division may warn.
     g = state.to_cm() if isinstance(state, StandardForm) else state.entries
     if nudged:
         noise = 1e-14 * np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 4))
         g = g + 1e-13 * np.eye(4) + noise + noise.T
         state = validate_cm(g)
-    coeffs = witness._schedule_quartics(g)
+    sf, _ = both_orders(state)
+    coeffs = witness._schedule_quartics(sf.a, sf.b, sf.c1, sf.c2)
     deriv = np.abs(coeffs[:, 1:]).max(axis=-1)
     assert np.all(deriv <= 1e-12 * coeffs[:, 0]) and (nudged or not deriv.any())
     with warnings.catch_warnings():
@@ -326,22 +358,25 @@ def test_minimize_L_rounding_level_quartic(state, nudged):
 
 
 def test_minimize_L_against_50_digit_determinant():
-    # every schedule win against det(g + gamma_M) / (4 (M1+1)^2) at its (M1, u),
-    # evaluated at 50 digits; u is recovered from M5 = u (M1+1)
+    # every schedule win against det(sf + gamma_M) / (4 (M1+1)^2) at its (M1, u),
+    # evaluated at 50 digits on the standard form in the winning party order;
+    # u is recovered from M5 = u (M1+1)
     wins = 0
     for state in minimize_L_inputs():
         lval, d = witness.minimize_L(state)
         if d is None:
             continue
         wins += 1
-        g = state.to_cm() if isinstance(state, StandardForm) else state.entries
+        sf, sf_swapped = both_orders(state)
+        if d.m1 not in SCHEDULE_M1:
+            sf, d = sf_swapped, d.swapped()
         with mpmath.workdps(50):
             k = mpmath.mpf(d.m1) + 1
             u = mpmath.mpf(d.m5) / k
             m3, m5 = 1 + u * u * k, u * k
             gm = mpmath.matrix([[d.m1, 0, m5, 0], [0, d.m1, 0, -m5],
                                 [m5, 0, m3, 0], [0, -m5, 0, m3]])
-            want = mpmath.det(mpmath.matrix(g.tolist()) + gm) / (4 * k * k)
+            want = mpmath.det(mpmath.matrix(sf.to_cm().tolist()) + gm) / (4 * k * k)
             assert abs(lval - want) <= 1e-13 * want
     assert wins > 0
 
