@@ -237,12 +237,7 @@ def cmd_witness_optimize(args):
         cm = state
     else:
         raise SchemaError("witness-optimize expects a two-mode CM or standard form")
-    # a CM whose determinants overflow float64 is an input error, not a verdict
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        try:
-            lval, best = witness.minimize_L(cm)
-        except FloatingPointError as exc:
-            raise SchemaError(f"the state is beyond float64 range: {exc}")
+    lval, best = witness.minimize_L(cm)
     report = {
         "command": "witness-optimize",
         "criteria": [_verdict_entry(criteria.determinant_ratio(lval))],

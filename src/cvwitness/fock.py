@@ -211,11 +211,9 @@ def _conditional(tensors, vecs, mode):
     mode=2 contracts the second mode (a matrix over mode 1) and vice versa;
     each result is made Hermitian. Each contracted index is one matmul on a
     reshaped view of the tensors: the last (mode 2) or first (mode 1) index
-    against the whole tensor, then the other index for each row.
+    against the whole tensor, then the other index for each row. The caller
+    checks that the vectors are unit.
     """
-    norms = np.sqrt((np.abs(vecs) ** 2).sum(axis=-1)).ravel().tolist()
-    if any(abs(norm - 1.0) > 1e-10 for norm in norms):
-        raise ValueError("conditioning vector must be normalized")
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
     lead, c = tensors.shape[:-4], tensors.shape[-1]
@@ -248,61 +246,50 @@ def _maximize(tensors, sqrt_det_beta, b, max_rounds):
     """Alternating maximization over a stack of element tensors (k, c, c, c, c).
 
     Starts from unit mode-2 vectors b (k, c), with sqrt_det_beta a sequence
-    of k numbers, and returns one IterationResult per sample. Every round
-    contracts the samples still running at once and takes one stacked eigh;
-    a sample whose M0 passes _M0_TARGET leaves the stack, so its rounds and
-    traces are those it would have alone.
+    of k numbers. Every round contracts the samples still running at once and
+    takes one stacked eigh; a sample whose M0 passes _M0_TARGET leaves the
+    stack, so its rounds and values are those it would have alone. Returns
+    (rounds, converged, m0, factors), arrays over the k samples: sample i ran
+    rounds[i] rounds, m0[i, r] is its M0 after round r + 1, and factors[i]
+    holds its factors in the order they were set, the vacuum a and the start
+    b first, then the new factor of each round (a in odd rounds, b in even
+    ones), so that its last pair is factors[i, rounds[i]:rounds[i] + 2].
+    Entries past a sample's rounds are 0.
     """
+    norms = np.sqrt((np.abs(b) ** 2).sum(axis=-1)).tolist()
+    if any(abs(norm - 1.0) > 1e-10 for norm in norms):
+        raise ValueError("conditioning vector must be normalized")
     k, c = b.shape
-    a = np.zeros((k, c), dtype=complex)
-    a[:, 0] = 1.0
-    live = list(range(k))
-    m0_traces = [[] for _ in range(k)]
-    # per sample: the start vector, then the factor each round replaced
-    factors = [[row] for row in b]
-    results = [None] * k
-
-    def finish(j, rounds, converged):
-        i = live[j]
-        # round r pairs the factor it replaced with the one replaced in round r - 1
-        photons = _mean_photons(np.array(factors[i])).tolist()
-        results[i] = IterationResult(
-            m0=m0_traces[i][-1] if m0_traces[i] else -np.inf,
-            psi=ProductStateVec(a=a[j] / np.linalg.norm(a[j]), b=b[j] / np.linalg.norm(b[j])),
-            rounds=rounds,
-            photon_trace=tuple(0.5 * (p + q) for p, q in zip(photons[1:], photons)),
-            m0_trace=tuple(m0_traces[i]),
-            converged=converged,
-        )
-
-    r = 0
-    for r in range(1, max_rounds + 1):
-        if not live:
+    # round-major, so that a round writes one row
+    m0 = np.zeros((max_rounds, k))
+    factors = np.zeros((max_rounds + 2, k, c), dtype=complex)
+    factors[0, :, 0] = 1.0
+    factors[1] = b
+    a = factors[0]
+    rounds, converged = np.full(k, max_rounds), np.zeros(k, dtype=bool)
+    live, s, m = np.arange(k), list(sqrt_det_beta), None
+    for r in range(max_rounds):
+        if not live.size:
             break
-        if r % 2 == 1:
+        # eigh returns unit eigenvectors, so only b needs the check above
+        if r % 2 == 0:
             w, vecs = np.linalg.eigh(_conditional(tensors, b, mode=2))
             a = new = vecs[..., -1]
         else:
             w, vecs = np.linalg.eigh(_conditional(tensors, a, mode=1))
             b = new = vecs[..., -1]
-        done = []
-        for j, (i, top, s) in enumerate(zip(live, w[:, -1].tolist(), sqrt_det_beta)):
-            m, trace = top / s, m0_traces[i]
-            if trace and m < trace[-1] - 1e-9:
-                raise ArithmeticError("M0 decreased between rounds")
-            trace.append(m)
-            factors[i].append(new[j])
-            done.append(m > _M0_TARGET)
+        prev, m = m, [top / x for top, x in zip(w[:, -1].tolist(), s)]
+        if prev and any(x < y - 1e-9 for x, y in zip(m, prev)):
+            raise ArithmeticError("M0 decreased between rounds")
+        m0[r, live] = m
+        factors[r + 2, live] = new
+        done = [x > _M0_TARGET for x in m]
         if any(done):
-            for j in np.flatnonzero(done):
-                finish(j, r, True)
             keep = np.logical_not(done)
-            live, sqrt_det_beta = ([x for x, d in zip(seq, done) if not d]
-                                   for seq in (live, sqrt_det_beta))
-            tensors, a, b = tensors[keep], a[keep], b[keep]
-    for j in range(len(live)):
-        finish(j, r, False)
-    return results
+            rounds[live[done]], converged[live[done]] = r + 1, True
+            s, m = ([x for x, d in zip(seq, done) if not d] for seq in (s, m))
+            live, tensors, a, b = live[keep], tensors[keep], a[keep], b[keep]
+    return rounds, converged, m0.T, factors.transpose(1, 0, 2)
 
 
 def alternate_maximize(op, seed=None, max_rounds=100, initial=None):
@@ -319,7 +306,22 @@ def alternate_maximize(op, seed=None, max_rounds=100, initial=None):
     else:
         rng = np.random.default_rng(seed)
         b = random_state_vector(rng, op.cutoff)
-    return _maximize(op.tensor[None], [op.sqrt_det_beta], b[None], max_rounds)[0]
+    rounds, converged, m0, factors = _maximize(
+        op.tensor[None], [op.sqrt_det_beta], b[None], max_rounds)
+    r, factors = int(rounds[0]), factors[0]
+    # the last two factors set are the final pair; odd rounds set a
+    a, b = factors[r:r + 2] if r % 2 == 0 else factors[r + 1:r - 1:-1]
+    photons = _mean_photons(factors[1:r + 2]).tolist()
+    m0_trace = tuple(m0[0, :r].tolist())
+    return IterationResult(
+        m0=m0_trace[-1] if m0_trace else -np.inf,
+        psi=ProductStateVec(a=a / np.linalg.norm(a), b=b / np.linalg.norm(b)),
+        rounds=r,
+        # round r pairs its new factor with that of round r - 1 (the start vector first)
+        photon_trace=tuple(0.5 * (p + q) for p, q in zip(photons[1:], photons)),
+        m0_trace=m0_trace,
+        converged=bool(converged[0]),
+    )
 
 
 def random_detect_operator(seed):
@@ -382,13 +384,14 @@ def sweep_fig1(samples, cutoff=6, seed=0, max_rounds=100):
     lam, x, y = np.array([lambda_product_vacuum(d) for d in ds]).reshape(-1, 3).T
     cms = np.array([d.cm() for d in ds]).reshape(-1, 4, 4)
     tensors = _element_tensors(cms, x, y, lam, cutoff)
-    results = _maximize(tensors, lam.tolist(), np.array(starts).reshape(-1, cutoff), max_rounds)
-    rows = []
-    failures = []
-    for s, (d, res) in enumerate(zip(ds, results)):
-        m0, avg_photon = res.m0_trace[0], res.photon_trace[0]
-        rows.append(SweepRow(seed=s, avg_photon=avg_photon, m0=m0,
-                             rounds=res.rounds, converged=res.converged))
-        if m0 > 1.0 + 1e-6:
-            failures.append((s, d, m0))
+    rounds, converged, m0, factors = _maximize(
+        tensors, lam.tolist(), np.array(starts).reshape(-1, cutoff), max_rounds)
+    # a row is the first round: its M0 and the photon number of the pair it set
+    first_m0 = m0[:, 0].tolist()
+    photons = _mean_photons(factors[:, 1:3])
+    avg_photon = (0.5 * (photons[:, 1] + photons[:, 0])).tolist()
+    rows = [SweepRow(seed=s, avg_photon=p, m0=m, rounds=n, converged=c)
+            for s, (p, m, n, c) in enumerate(zip(avg_photon, first_m0, rounds.tolist(),
+                                                  converged.tolist()))]
+    failures = [(s, d, m) for s, (d, m) in enumerate(zip(ds, first_m0)) if m > 1.0 + 1e-6]
     return rows, failures

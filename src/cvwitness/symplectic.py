@@ -135,7 +135,13 @@ def validate_cm(entries):
 
 
 def symplectic_eigenvalues(cm):
-    """Symplectic spectrum: positive eigenvalue moduli of i*sigma*gamma, descending."""
+    """Symplectic spectrum: positive eigenvalue moduli of i*sigma*gamma, descending.
+
+    Two modes take the closed form of _two_mode_spectrum, more modes the
+    eigenvalues of i*sigma*gamma.
+    """
+    if cm.n == 2:
+        return list(_two_mode_spectrum(cm, transpose=False))
     g = cm.entries
     n = cm.n
     w = np.linalg.eigvals(1j * _symplectic_form(n) @ g)
@@ -161,12 +167,62 @@ def partial_transpose(cm, partition):
 
 
 def min_pt_symplectic_eigenvalue(cm, partition=None):
-    """Smallest symplectic eigenvalue of the partial transpose (PPT statistic)."""
+    """Smallest symplectic eigenvalue of the partial transpose (PPT statistic).
+
+    Two modes have the one partition 1|1 and take the closed form of
+    _two_mode_spectrum; more modes take the eigenvalues of i*sigma*gamma^T_B.
+    """
+    if cm.n == 2:
+        return _two_mode_spectrum(cm, transpose=True)[1]
     if partition is None:
         partition = ModePartition.bipartite(1, cm.n - 1)
     gt = partial_transpose(cm, partition)
     w = np.abs(np.linalg.eigvals(1j * _symplectic_form(cm.n) @ gt))
     return float(np.min(w))
+
+
+# Dekker's splitter for float64, 2^27 + 1
+_SPLIT = 134217729.0
+
+
+def _dot2(*pairs):
+    """The sum of x * y over pairs (x, y) as if in twice the working precision,
+    rounded once: each product is split exactly (Dekker 1971) and the sum
+    compensated (Dot2 of Ogita, Rump & Oishi 2005)."""
+    s = e = 0.0
+    for x, y in pairs:
+        p = x * y
+        t = _SPLIT * x
+        xh = t - (t - x)
+        t = _SPLIT * y
+        yh = t - (t - y)
+        xl, yl = x - xh, y - yh
+        t = s + p
+        z = t - s
+        e += ((s - (t - z)) + (p - z)) + (((xh * yh - p) + xh * yl + xl * yh) + xl * yl)
+        s = t
+    return s + e
+
+
+def _two_mode_spectrum(cm, transpose):
+    """(nu_+, nu_-) of a two-mode CM, or of its partial transpose, in closed form.
+
+    On the standard form (a, b, c1, c2), nu_+^2 and nu_-^2 are the roots of
+    x^2 - D x + det gamma with det gamma = (ab - c1^2)(ab - c2^2) and
+    D = a^2 + b^2 - 2 c1 c2; the partial transpose flips c2. The larger root
+    takes the discriminant in factored form, (a^2 - b^2)^2 - 4 (a c1 - b c2)
+    (a c2 - b c1), which is exactly 0 where a = b and c1 = c2, and
+    nu_-^2 = det gamma / nu_+^2, so nothing cancels outside _dot2.
+    """
+    sf = standard_form(cm)
+    a, b, c1 = sf.a, sf.b, sf.c1
+    c2 = -sf.c2 if transpose else sf.c2
+    det = _dot2((a, b), (-c1, c1)) * _dot2((a, b), (-c2, c2))
+    d = _dot2((a, a), (b, b), (-2.0 * c1, c2))
+    e, f, h = _dot2((a, a), (-b, b)), _dot2((a, c1), (-b, c2)), _dot2((a, c2), (-b, c1))
+    plus = 0.5 * (d + math.sqrt(max(_dot2((e, e), (-4.0 * f, h)), 0.0)))
+    # where nu_+ = nu_-, rounding may put the quotient an ulp above nu_+^2
+    return math.sqrt(plus), math.sqrt(min(det / plus, plus))
 
 
 def _reduce_block(p, q, r):

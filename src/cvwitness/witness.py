@@ -15,7 +15,8 @@ from scipy.optimize import brentq
 from .errors import NotPhysical, OptimFailure, ValidationError
 from .symplectic import CovarianceMatrix, _symplectic_form, six_param_cm, standard_form
 
-_EPS = np.finfo(float).eps
+_EPS = 2.0**-52
+_THIRD_TURN = 2.0 * math.pi / 3.0
 
 
 class PositivityMode(enum.Enum):
@@ -146,49 +147,51 @@ def _schedule_detect(m1, u):
 
 # The schedule's M1 values; u above sqrt(M1/(M1+1)) makes the x-sector block
 # of gamma_M indefinite, so u runs over [1e-4, hi].
-_SCHEDULE_M1 = np.array([1e2, 1e3, 1e4])
-_SCHEDULE_HI = np.sqrt(_SCHEDULE_M1 / (_SCHEDULE_M1 + 1.0)) * (1.0 - 1e-9)
+_SCHEDULE_M1 = (1e2, 1e3, 1e4)
+_SCHEDULE_HI = tuple(math.sqrt(m1 / (m1 + 1.0)) * (1.0 - 1e-9) for m1 in _SCHEDULE_M1)
 
 
-def _schedule_quartics(a, b, c1, c2):
-    """Coefficients (3, 5), lowest power first, of det(sf + gamma_M) / (4 (M1+1)^2)
-    as quartics in u, one row per schedule M1, for the standard form (a, b, c1, c2).
+def _stationary_points(d3, d2, d1, d0):
+    """Real roots of the cubic d3 u^3 + d2 u^2 + d1 u + d0, and the real part
+    of a complex pair as a spare candidate.
 
-    Both matrices have the six-parameter layout, so the determinant is the
-    product of the x- and p-sector determinants; divided by 2K, K = M1 + 1,
-    each is ((a + M1)(b + 1) - c^2) / (2K) - c u + (a - 1) u^2 / 2, with c = c1
-    in the x sector and c = c2 in the p sector.
+    Roots come in closed form (trigonometric for three real roots, Cardano's
+    otherwise, the quadratic formula without cancellation), and each real one
+    takes two Newton steps. A leading coefficient at rounding level next to
+    the largest, 0 included, is dropped, which loses a root near infinity
+    rather than dividing by it; a zero cubic has no roots.
     """
-    s, rows = 0.5 * (a - 1.0), []
-    cubic, quartic = -(c1 + c2) * s, s * s
-    for m1 in _SCHEDULE_M1.tolist():
-        base, k2 = (a + m1) * (b + 1.0), 2.0 * (m1 + 1.0)
-        x0, p0 = (base - c1 * c1) / k2, (base - c2 * c2) / k2
-        rows.append((x0 * p0, -(c2 * x0 + c1 * p0), (x0 + p0) * s + c1 * c2, cubic, quartic))
-    return np.array(rows)
-
-
-def _cubic_roots(d):
-    """Roots (k, 3) of the cubics with coefficients d (k, 4), highest power first.
-
-    They are the eigenvalues of the companion matrices, as np.roots finds
-    them. A leading coefficient at rounding level next to the largest one, 0
-    included, is dropped and a trailing 0 appended: that trades a root near
-    infinity for one at 0. A zero cubic gets three roots at 0.
-    """
-    d = np.array(d, dtype=float)
-    tiny = _EPS * np.abs(d).max(axis=-1)
-    for _ in range(3):
-        lead = np.abs(d[:, 0]) <= tiny
-        if not lead.any():
-            break
-        d[lead, :-1] = d[lead, 1:]
-        d[lead, -1] = 0.0
-    d[d[:, 0] == 0.0, 0] = 1.0
-    comp = np.zeros((len(d), 3, 3))
-    comp[:, 0] = -d[:, 1:] / d[:, :1]
-    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
-    return np.linalg.eigvals(comp)
+    tiny = _EPS * max(abs(d3), abs(d2), abs(d1), abs(d0))
+    spare = []
+    if abs(d3) > tiny:
+        b, c, e = d2 / d3, d1 / d3, d0 / d3
+        shift, q = b / 3.0, (b * b - 3.0 * c) / 9.0
+        r = (b * (2.0 * b * b - 9.0 * c) + 27.0 * e) / 54.0
+        if r * r < q * q * q:
+            cos3 = max(-1.0, min(1.0, r / (q * math.sqrt(q))))
+            t, m = math.acos(cos3) / 3.0, -2.0 * math.sqrt(q)
+            roots = [m * math.cos(t + k) - shift for k in (0.0, _THIRD_TURN, -_THIRD_TURN)]
+        else:
+            big = -math.copysign((abs(r) + math.sqrt(r * r - q * q * q)) ** (1.0 / 3.0), r)
+            real = big + (q / big if big else 0.0)
+            roots, spare = [real - shift], [-0.5 * real - shift]
+    elif abs(d2) > tiny:
+        disc = d1 * d1 - 4.0 * d2 * d0
+        if disc < 0.0:
+            return [-0.5 * d1 / d2]
+        h = -0.5 * (d1 + math.copysign(math.sqrt(disc), d1))
+        roots = [h / d2, d0 / h] if h else [0.0]
+    elif abs(d1) > tiny:
+        roots = [-d0 / d1]
+    else:
+        return []
+    for i, u in enumerate(roots):
+        for _ in range(2):
+            slope = (3.0 * d3 * u + 2.0 * d2) * u + d1
+            if slope:
+                u -= (((d3 * u + d2) * u + d1) * u + d0) / slope
+        roots[i] = u
+    return roots + spare
 
 
 def minimize_L(gamma):
@@ -199,35 +202,43 @@ def minimize_L(gamma):
     frame and party order, and compares the analytic infinite-parameter limit
     (b+1)/2 - c^2/(2(a-1)). Returns (L, best_detect): best_detect is None when
     the limit wins, else it is in the frame of sf, L_ratio(sf.to_cm(),
-    best_detect) == L. Raises ValidationError when sf is not finite in float64.
+    best_detect) == L. Raises ValidationError when sf is beyond float64 range.
     """
     sf = standard_form(gamma) if isinstance(gamma, CovarianceMatrix) else gamma
-    a, b = (sf.a, sf.b) if sf.a >= sf.b else (sf.b, sf.a)
-    c = 0.5 * (sf.c1 + sf.c2)
-    if not math.isfinite(a + b + c):
+    sa, sb, c1, c2 = float(sf.a), float(sf.b), float(sf.c1), float(sf.c2)
+    a, b = (sa, sb) if sa >= sb else (sb, sa)
+    c = 0.5 * (c1 + c2)
+    # past this check an overflow can only make a schedule value inf, far above
+    # the limit, so every state in range gets a finite L
+    if not math.isfinite(a * b + c1 * c1 + c2 * c2):
         raise ValidationError("the standard form is beyond float64 range")
 
     # The sector factors of det(gamma_M + diag(x, 1/x, y, 1/y)) are posynomials
     # in (x, y), with constant term M1 - u^2 (M1+1) >= 0 up to hi, that trade
     # places under (x, y) -> (1/x, 1/y); so the log-convex determinant is least
-    # at x = y = 1, where it is 4 (M1+1)^2 for every u. Rows 3-5 take the
-    # parties swapped, (b, a, c1, c2).
-    coeffs = np.vstack((_schedule_quartics(sf.a, sf.b, sf.c1, sf.c2),
-                        _schedule_quartics(sf.b, sf.a, sf.c1, sf.c2)))
-    # the quartic is least at an end or a real stationary point (complex ones
-    # clipped, as spare candidates); the clip takes the ends in as 0 and inf
-    roots = _cubic_roots(coeffs[:, :0:-1] * np.arange(4.0, 0.0, -1.0))
-    hi = np.tile(_SCHEDULE_HI, 2)[:, None]
-    us = np.clip(np.hstack(([[0.0, np.inf]] * len(coeffs), roots.real)), 1e-4, hi)
-    vals = (us[..., None] ** np.arange(5) * coeffs[:, None]).sum(axis=-1)
-    row, i = divmod(int(np.argmin(vals)), vals.shape[-1])
-    best_val = float(vals[row, i])
-    best_d = _schedule_detect(float(_SCHEDULE_M1[row % len(_SCHEDULE_M1)]), float(us[row, i]))
-    if row >= len(_SCHEDULE_M1):
-        best_d = best_d.swapped()
+    # at x = y = 1, where it is 4 (M1+1)^2 for every u. Both matrices have the
+    # six-parameter layout, so det(sf + gamma_M) / (4 (M1+1)^2) is the product of
+    # the x- and p-sector quadratics x0 - c1 u + s u^2 and p0 - c2 u + s u^2;
+    # the swapped party order takes (b, a, c1, c2).
+    best_val, best = math.inf, None
+    for swapped, (p, q) in enumerate(((sa, sb), (sb, sa))):
+        s = 0.5 * (p - 1.0)
+        for m1, hi in zip(_SCHEDULE_M1, _SCHEDULE_HI):
+            base, k2 = (p + m1) * (q + 1.0), 2.0 * (m1 + 1.0)
+            x0, p0 = (base - c1 * c1) / k2, (base - c2 * c2) / k2
+            # the quartic is least at an end or a stationary point
+            roots = _stationary_points(4.0 * s * s, -3.0 * s * (c1 + c2),
+                                       2.0 * (s * (x0 + p0) + c1 * c2), -(c2 * x0 + c1 * p0))
+            for u in (1e-4, hi, *roots):
+                # clipped to [1e-4, hi], NaN to 1e-4
+                u = hi if u > hi else u if u > 1e-4 else 1e-4
+                val = (x0 + u * (s * u - c1)) * (p0 + u * (s * u - c2))
+                if val < best_val:
+                    best_val, best = val, (m1, u, swapped)
     if a > 1.0:
         limit = 0.5 * (b + 1.0) - c * c / (2.0 * (a - 1.0))
         if limit < best_val:
-            best_val = float(limit)
-            best_d = None
-    return best_val, best_d
+            return limit, None
+    m1, u, swapped = best
+    best_d = _schedule_detect(m1, u)
+    return best_val, best_d.swapped() if swapped else best_d

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -269,7 +272,7 @@ C10 = [[3.0, 0.4, 1.2, 0.1], [0.4, 2.5, -0.3, -0.9], [1.2, -0.3, 2.8, 0.2], [0.1
     ("witness-optimize", {"cm": EYE4},
      "7228572d1edad37282866afe0d1beed9a06026cc672e8b0dc4efaa6301183b51"),
     ("witness-optimize", {"family": "squeezed_thermal", "a": 2, "b": 2, "c": 1.5},
-     "3c4ccd0b713f2bd40273be4b6ed79737b22ae72eb90ae72c6b37adf4d4cec198"),
+     "a41a4bc3bb4b41396f81d21b3f90ab61f57c99476ea0ea1a1594732522e5d8de"),
     ("witness-optimize", {"cm": C10},
      "745f1b98372e571771647999a9aaf924ac94fd109f39acb6d3e54dc9e6a40fb4"),
     ("check-nongaussian", {"family": "ngpasg", "add": [1, 1], "sub": [0, 0],
@@ -443,3 +446,16 @@ def test_bad_input_values_are_errors_not_tracebacks(tmp_path, capsys, command, t
     assert rc == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_cold_import_loads_no_oracle_library():
+    # mpmath, sympy and hypothesis serve the tests only: pulled into the package
+    # import, they would slow the start of every CLI command
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = ("import sys, cvwitness; print(sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'mpmath', 'sympy', 'hypothesis'}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -200,11 +200,12 @@ def test_alternate_maximize_respects_max_rounds():
 
 
 def test_conditional_matrix_rejects_unnormalized_vector():
+    # the maximization checks its conditioning vectors once, where they enter
     op = fock.fock_elements(fock.random_detect_operator(6), 6)
     e0 = np.zeros(6, dtype=complex)
     e0[0] = 1.0
     with pytest.raises(ValueError):
-        fock._conditional(op.tensor, 2.0 * e0, 2)
+        fock._maximize(op.tensor[None], [op.sqrt_det_beta], 2.0 * e0[None], 10)
 
 
 def stacked_inputs(cutoff, count=8):
@@ -216,14 +217,6 @@ def stacked_inputs(cutoff, count=8):
     return ops, starts
 
 
-def assert_same_iteration(res, ref):
-    assert res.rounds == ref.rounds and res.converged == ref.converged
-    for got, want in ((res.m0_trace, ref.m0_trace), (res.photon_trace, ref.photon_trace)):
-        assert len(got) == len(want)
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-    assert res.m0 == pytest.approx(ref.m0, rel=1e-12)
-
-
 @pytest.mark.parametrize("cutoff", [4, 6])
 def test_stacked_maximization_matches_batches_of_one(cutoff):
     ops, starts = stacked_inputs(cutoff)
@@ -231,11 +224,22 @@ def test_stacked_maximization_matches_batches_of_one(cutoff):
     # a cap between the fastest and the slowest sample cuts some of them off
     cap = sorted(free)[len(free) // 2]
     assert len(set(free)) > 2 and max(free) > cap
-    stacked = fock._maximize(np.array([op.tensor for op in ops]),
-                             [op.sqrt_det_beta for op in ops], np.array(starts), cap)
-    assert {r.converged for r in stacked} == {True, False}
-    for op, b, res in zip(ops, starts, stacked):
-        assert_same_iteration(res, fock.alternate_maximize(op, initial=b, max_rounds=cap))
+    rounds, converged, m0, factors = fock._maximize(np.array([op.tensor for op in ops]),
+                                                    [op.sqrt_det_beta for op in ops],
+                                                    np.array(starts), cap)
+    assert set(converged.tolist()) == {True, False}
+    for i, (op, b) in enumerate(zip(ops, starts)):
+        ref = fock.alternate_maximize(op, initial=b, max_rounds=cap)
+        r = int(rounds[i])
+        assert r == ref.rounds == len(ref.m0_trace) == len(ref.photon_trace)
+        assert converged[i] == ref.converged
+        assert np.allclose(m0[i, :r], ref.m0_trace, rtol=1e-12, atol=0.0)
+        assert m0[i, r - 1] == pytest.approx(ref.m0, rel=1e-12)
+        photons = fock._mean_photons(factors[i, 1:r + 2])
+        assert np.allclose(0.5 * (photons[1:] + photons[:-1]), ref.photon_trace,
+                           rtol=1e-12, atol=0.0)
+        # entries past a sample's rounds stay 0
+        assert not m0[i, r:].any() and not factors[i, r + 2:].any()
 
 
 def test_stacked_maximization_rejects_unnormalized_start():
@@ -315,8 +319,7 @@ def test_sweep_rows_match_single_maximizations():
         b = np.eye(5)[0] + tau * noise / np.linalg.norm(noise)
         res = fock.alternate_maximize(op, initial=b, max_rounds=6)
         assert (row.rounds, row.converged) == (res.rounds, res.converged)
-        assert row.m0 == pytest.approx(res.m0_trace[0], rel=1e-12)
-        assert row.avg_photon == pytest.approx(res.photon_trace[0], rel=1e-12)
+        assert (row.m0, row.avg_photon) == (res.m0_trace[0], res.photon_trace[0])
 
 
 # the three-operand einsum the matmul contraction replaced

@@ -413,3 +413,46 @@ def test_standard_form_rejects_near_singular_block(block):
     g[block:block + 2, block:block + 2] = [[1.0, 1.0], [1.0, 1.0 + 1e-13]]
     with pytest.raises(DegenerateBlock):
         standard_form(CovarianceMatrix(entries=g))
+
+
+def mp_two_mode_spectrum(g, transpose):
+    """(nu_+, nu_-) of the float CM g, or of its partial transpose, taken as
+    exact, from the invariants det A + det B +- 2 det C and det gamma of the
+    matrix itself, in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        m = mpmath.matrix(g.tolist())
+        sign = -1 if transpose else 1
+        d = (mpmath.det(m[0:2, 0:2]) + mpmath.det(m[2:4, 2:4])
+             + 2 * sign * mpmath.det(m[0:2, 2:4]))
+        det = mpmath.det(m)
+        plus = (d + mpmath.sqrt(max(d * d - 4 * det, 0))) / 2
+        return mpmath.sqrt(plus), mpmath.sqrt(det / plus)
+
+
+def two_mode_spectrum_cases():
+    """symmetric_squeezed_thermal(n, r) for n in {0, 0.5, 2} and r up to 5, whose
+    nu_+ = nu_-, then seeded standard forms dressed by local symplectics."""
+    cms = [validate_cm(families.symmetric_squeezed_thermal(n, r))
+           for n in (0.0, 0.5, 2.0) for r in np.linspace(0.0, 5.0, 21)]
+    rng = np.random.default_rng(29)
+    while len(cms) < 163:
+        a, b = rng.uniform(1.0, 4.0, size=2)
+        c1, c2 = rng.uniform(-1.0, 1.0, size=2) * np.sqrt(a * b)
+        try:
+            sf = StandardForm(a, b, c1, c2).validate()
+        except NotPhysical:
+            continue
+        cms.append(dressed_cm(sf, rng))
+    return cms
+
+
+def test_two_mode_spectra_against_60_digit_oracle():
+    # the closed form against the same float input in exact-enough arithmetic
+    for cm in two_mode_spectrum_cases():
+        plus, minus = symplectic_eigenvalues(cm)
+        pt_plus, pt_minus = symplectic._two_mode_spectrum(cm, transpose=True)
+        assert min_pt_symplectic_eigenvalue(cm) == pt_minus
+        for got, want in zip((plus, minus, pt_plus, pt_minus),
+                             mp_two_mode_spectrum(cm.entries, False)
+                             + mp_two_mode_spectrum(cm.entries, True)):
+            assert abs(got - want) <= 1e-14 * want

@@ -340,16 +340,24 @@ def test_minimize_L_rounding_level_quartic(state, nudged):
     # the quartic is constant in u here: a = 1 and c1 = c2 = 0 leave the sector
     # quadratics no u terms. Nudged at the 1e-13 level, the derivative's
     # coefficients, the leading one included, are rounding-level but nonzero;
-    # no division may warn.
+    # no division may warn or raise.
     g = state.to_cm() if isinstance(state, StandardForm) else state.entries
     if nudged:
         noise = 1e-14 * np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 4))
         g = g + 1e-13 * np.eye(4) + noise + noise.T
         state = validate_cm(g)
     sf, _ = both_orders(state)
-    coeffs = witness._schedule_quartics(sf.a, sf.b, sf.c1, sf.c2)
-    deriv = np.abs(coeffs[:, 1:]).max(axis=-1)
-    assert np.all(deriv <= 1e-12 * coeffs[:, 0]) and (nudged or not deriv.any())
+    s = 0.5 * (sf.a - 1.0)
+    for m1 in SCHEDULE_M1:
+        # the derivative of (x0 - c1 u + s u^2)(p0 - c2 u + s u^2), highest power first
+        base, k2 = (sf.a + m1) * (sf.b + 1.0), 2.0 * (m1 + 1.0)
+        x0, p0 = (base - sf.c1**2) / k2, (base - sf.c2**2) / k2
+        cubic = (4.0 * s * s, -3.0 * s * (sf.c1 + sf.c2),
+                 2.0 * (s * (x0 + p0) + sf.c1 * sf.c2), -(sf.c2 * x0 + sf.c1 * p0))
+        assert max(map(abs, cubic)) <= 1e-12 * x0 * p0 and (nudged or not any(cubic))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all(np.isfinite(witness._stationary_points(*cubic)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lval, _ = witness.minimize_L(state)
@@ -377,26 +385,23 @@ def test_minimize_L_against_50_digit_determinant():
             gm = mpmath.matrix([[d.m1, 0, m5, 0], [0, d.m1, 0, -m5],
                                 [m5, 0, m3, 0], [0, -m5, 0, m3]])
             want = mpmath.det(mpmath.matrix(sf.to_cm().tolist()) + gm) / (4 * k * k)
-            assert abs(lval - want) <= 1e-13 * want
+            assert abs(lval - want) <= 1e-14 * want
     assert wins > 0
 
 
 def test_cubic_roots_with_vanishing_leading_coefficients():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        roots = witness._cubic_roots(np.array([
-            [2.0, -6.0, 4.0, 0.5],      # a proper cubic
-            [0.0, 1.0, -3.0, 2.0],      # leading coefficient exactly 0
-            [1e-30, 1.0, -3.0, 2.0],    # leading coefficient at rounding level
-            [0.0, 0.0, 2.0, -1.0],      # two leading zeros
-            [0.0, 0.0, 0.0, 0.0],       # a constant quartic
-        ]))
-    assert roots.shape == (5, 3)
-    np.testing.assert_allclose(np.sort_complex(roots[0]),
-                               np.sort_complex(np.roots([2.0, -6.0, 4.0, 0.5])), atol=1e-14)
+        roots = [sorted(witness._stationary_points(*d)) for d in (
+            (2.0, -6.0, 4.0, 0.5),      # a proper cubic
+            (0.0, 1.0, -3.0, 2.0),      # leading coefficient exactly 0
+            (1e-30, 1.0, -3.0, 2.0),    # leading coefficient at rounding level
+            (0.0, 0.0, 2.0, -1.0),      # two leading zeros
+            (0.0, 0.0, 0.0, 0.0),       # a constant quartic
+        )]
+    np.testing.assert_allclose(roots[0], np.sort(np.roots([2.0, -6.0, 4.0, 0.5]).real),
+                               atol=1e-14)
+    # a dropped coefficient loses a root near infinity
     for row, finite in ((1, [1.0, 2.0]), (2, [1.0, 2.0]), (3, [0.5])):
-        # each dropped coefficient trades a root near infinity for one at 0
-        expect = np.concatenate((np.zeros(3 - len(finite)), finite))
-        np.testing.assert_allclose(np.sort(roots[row].real), expect, atol=1e-14)
-        assert np.all(roots[row].imag == 0.0)
-    assert np.all(roots[4] == 0.0)
+        assert roots[row] == finite
+    assert roots[4] == []
