@@ -144,12 +144,7 @@ def _verdict_entry(v):
 
 def _state_verdicts(state):
     if isinstance(state, StandardForm):
-        out = [criteria.simon_criterion(state)]
-        if criteria.family_match(state.c1, state.c2):
-            out.append(criteria.squeezed_thermal(state.a, state.b, state.c1))
-        if criteria.family_match(state.a, state.b):
-            out.append(criteria.symmetric_two_mode(state.a, state.c1, state.c2))
-        return out
+        return [criteria.simon_criterion(state), *criteria.family_verdicts(state)]
     if isinstance(state, CovarianceMatrix):
         if state.n == 2:
             return [criteria.simon_criterion(standard_form(state))]

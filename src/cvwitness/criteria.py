@@ -14,13 +14,12 @@ import numpy as np
 
 from . import families
 from .errors import ImpureLocalCM, NegativeC, ValidationError
-from .symplectic import CovarianceMatrix, validate_cm
+from .symplectic import PSD_ATOL, CovarianceMatrix, validate_cm
 
 MARGIN_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
-# refined_ww_check's bands on |det - 1| of each local CM and on the least eigenvalue
+# refined_ww_check's band on |det - 1| of each local CM
 LOCAL_DET_TOL = 1e-6
-PSD_TOL = 1e-9
 # relative gap below which a ~ b or c1 ~ c2 in a standard form count as equal
 FAMILY_MATCH_TOL = 1e-9
 
@@ -115,9 +114,31 @@ class GHZParams:
 
 
 def family_match(u, v):
-    """Whether u ~ v within FAMILY_MATCH_TOL times max(1, u): a ~ b picks the
-    symmetric criterion, c1 ~ c2 the squeezed-thermal one."""
+    """Whether u ~ v within FAMILY_MATCH_TOL times max(1, u): a family_verdicts candidate."""
     return abs(u - v) <= FAMILY_MATCH_TOL * max(1.0, u)
+
+
+def family_verdicts(sf):
+    """The closed forms that decide a standard form: squeezed thermal when c1 ~ c2,
+    then symmetric when a ~ b. Each is kept on an exact match, or where the mismatch
+    cannot flip its word: at its family point, (a, b, c1, c1) or (a, a, c1, c2), the
+    Simon margin S = f1 f2, taken as the product of its factors so nothing cancels,
+    is at least twice its first-order change |c2 - c1| |dS/dc2| or |b - a| |dS/db|."""
+    a, b, c1, c2 = sf.a, sf.b, sf.c1, sf.c2
+    out = []
+    if family_match(c1, c2):
+        # f1, f2 = (a -+ 1)(b -+ 1) - c1^2, and dS/dc2 = -c1 (f1 + f2)
+        f1, f2 = (a - 1.0) * (b - 1.0) - c1 * c1, (a + 1.0) * (b + 1.0) - c1 * c1
+        if c1 == c2 or abs((c2 - c1) * c1 * (f1 + f2)) <= 0.5 * abs(f1 * f2):
+            out.append(squeezed_thermal(a, b, c1))
+    if family_match(a, b):
+        # f1, f2 = (a -+ |c1|)(a -+ |c2|) - 1, and dS/db = a (2 a^2 - c1^2 - c2^2 - 2)
+        p, q = abs(c1), abs(c2)
+        f1, f2 = (a - p) * (a - q) - 1.0, (a + p) * (a + q) - 1.0
+        slope = a * ((a - p) * (a + p) + (a - q) * (a + q) - 2.0)
+        if a == b or abs((b - a) * slope) <= 0.5 * abs(f1 * f2):
+            out.append(symmetric_two_mode(a, c1, c2))
+    return out
 
 
 def simon_criterion(sf):
@@ -300,7 +321,7 @@ def refined_ww_check(gamma, *locals_):
     if off != g.shape[0]:
         raise ValueError("local CM dimensions do not match the full CM")
     w = np.linalg.eigvalsh(g - direct_sum)
-    return bool(w[0] >= -PSD_TOL)
+    return bool(w[0] >= -PSD_ATOL)
 
 
 def refined_ww_search(sf):

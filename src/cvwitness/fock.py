@@ -260,6 +260,8 @@ def _maximize(tensors, sqrt_det_beta, b, max_rounds):
     if any(abs(norm - 1.0) > 1e-10 for norm in norms):
         raise ValueError("conditioning vector must be normalized")
     k, c = b.shape
+    # the contractions take complex vectors: cast the tensors once, not in every matmul
+    tensors = tensors.astype(complex)
     # round-major, so that a round writes one row
     m0 = np.zeros((max_rounds, k))
     factors = np.zeros((max_rounds + 2, k, c), dtype=complex)
@@ -333,8 +335,9 @@ def random_detect_operator(seed):
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     for _ in range(_MAX_TRIES):
         r = rng.normal(size=(4, 4))
-        g = r @ r.T + _JITTER * np.eye(4)
-        m = (g[0, 0], g[1, 1], g[2, 2], g[3, 3], g[0, 2], -g[1, 3])
+        g = (r @ r.T).tolist()
+        m = (g[0][0] + _JITTER, g[1][1] + _JITTER, g[2][2] + _JITTER, g[3][3] + _JITTER,
+             g[0][2], -g[1][3])
         if SixParamDetect.least_eigenvalue(*m) < 0.0:
             continue
         return SixParamDetect(*m, positivity=PositivityMode.OPERATOR_PSD)

@@ -14,9 +14,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import criteria
-from .errors import NotPhysical, SingularSum, UnsupportedOrder
+from .errors import SingularSum, UnsupportedOrder
 from .symplectic import (CovarianceMatrix, _ccm_matrix, gaussian_overlap, gaussian_taylor,
-                         standard_form, validate_cm)
+                         require_psd, require_symmetric, standard_form, validate_cm)
 from . import witness
 
 # largest Taylor table, prod(alpha_i + 1) entries, a trace may allocate; it
@@ -116,13 +116,12 @@ def _alpha_layout(alpha):
 
 
 def _detect_overlap(kernel, gamma_m):
-    """gamma_M as an array and the overlap Tr(rho_G M). A detect operator is
-    positive: no eigenvalue of gamma_M may lie below -1e-9, as in SixParamDetect."""
+    """gamma_M, checked as validate_cm checks a CM, and the overlap Tr(rho_G M); a
+    detect operator is positive, so the least eigenvalue of gamma_M must pass require_psd."""
     m = gamma_m.entries if isinstance(gamma_m, CovarianceMatrix) else np.asarray(gamma_m, float)
+    m = require_symmetric(m)
     overlap = gaussian_overlap(kernel, m)
-    w = np.linalg.eigvalsh(m)[0]
-    if w < -1e-9:
-        raise NotPhysical(w)
+    require_psd(np.linalg.eigvalsh(m)[0])
     return m, overlap
 
 
@@ -157,17 +156,15 @@ def ngpasg_trace_limit(s, gamma_m):
 def kernel_verdict(gamma):
     """Separability verdict for a two-mode Gaussian kernel CM.
 
-    Dispatches to the closed-form symmetric or squeezed-thermal criterion
-    when the standard form matches, else to the determinant-ratio bound.
+    The last closed form criteria.family_verdicts keeps for the standard form
+    (symmetric before squeezed thermal), else the determinant-ratio bound.
     """
     cm = gamma if isinstance(gamma, CovarianceMatrix) else validate_cm(gamma)
     if cm.n != 2:
         raise ValueError("kernel classification is defined for two-mode states")
-    sf = standard_form(cm)
-    if criteria.family_match(sf.a, sf.b):
-        return criteria.symmetric_two_mode(sf.a, sf.c1, sf.c2)
-    if criteria.family_match(sf.c1, sf.c2):
-        return criteria.squeezed_thermal(sf.a, sf.b, sf.c1)
+    closed = criteria.family_verdicts(standard_form(cm))
+    if closed:
+        return closed[-1]
     lval, _ = witness.minimize_L(cm)
     return criteria.determinant_ratio(lval)
 

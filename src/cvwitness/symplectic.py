@@ -118,20 +118,27 @@ def validate_cm(entries):
         raise OddDimension(f"expected a square matrix, got shape {g.shape}")
     if g.shape[0] % 2 != 0 or g.shape[0] == 0:
         raise OddDimension(f"dimension {g.shape[0]} is not a positive even number")
-    largest = float(np.max(np.abs(g)))
+    g = require_symmetric(g)
+    require_psd(np.linalg.eigvalsh(g + 1j * _symplectic_form(g.shape[0] // 2))[0])
+    return CovarianceMatrix(entries=g)
+
+
+def require_symmetric(g):
+    """A square float array g made exactly symmetric; raises ValidationError for a NaN
+    or infinite entry, NotSymmetric for a gap above SYM_RTOL * max(1, max |g|)."""
+    largest = float(np.abs(g).max())
     # NaN propagates through max; inf - inf is NaN, which passes every tolerance test below
     if not largest < math.inf:
         raise ValidationError("matrix has a NaN or infinite entry")
-    scale = max(1.0, largest)
-    if np.max(np.abs(g - g.T)) > SYM_RTOL * scale:
+    if float(np.abs(g - g.T).max()) > SYM_RTOL * max(1.0, largest):
         raise NotSymmetric("matrix is not symmetric to within tolerance")
-    g = 0.5 * (g + g.T)
-    n = g.shape[0] // 2
-    herm = g + 1j * _symplectic_form(n)
-    w = np.linalg.eigvalsh(herm)
-    if w[0] < -PSD_ATOL:
-        raise NotPhysical(w[0])
-    return CovarianceMatrix(entries=g)
+    return 0.5 * (g + g.T)
+
+
+def require_psd(least):
+    """The positivity test: NotPhysical when least, a least eigenvalue, is below -PSD_ATOL."""
+    if least < -PSD_ATOL:
+        raise NotPhysical(least)
 
 
 def symplectic_eigenvalues(cm):

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NotPhysical, OptimFailure, ValidationError
-from .symplectic import CovarianceMatrix, _symplectic_form, six_param_cm, standard_form
+from .errors import OptimFailure, ValidationError
+from .symplectic import CovarianceMatrix, require_psd, six_param_cm, standard_form, validate_cm
 
 _EPS = 2.0**-52
 _THIRD_TURN = 2.0 * math.pi / 3.0
@@ -42,12 +42,13 @@ class SixParamDetect:
     positivity: PositivityMode
 
     def __post_init__(self):
+        params = (self.m1, self.m2, self.m3, self.m4, self.m5, self.m6)
+        if not all(map(math.isfinite, params)):
+            raise ValidationError("detect operator has a NaN or infinite parameter")
         if self.positivity is PositivityMode.QUANTUM_STATE:
-            least = np.linalg.eigvalsh(self.cm() + 1j * _symplectic_form(2))[0]
+            validate_cm(self.cm())
         else:
-            least = self.least_eigenvalue(self.m1, self.m2, self.m3, self.m4, self.m5, self.m6)
-        if least < -1e-9:
-            raise NotPhysical(least)
+            require_psd(self.least_eigenvalue(*params))
 
     @staticmethod
     def least_eigenvalue(m1, m2, m3, m4, m5, m6):

@@ -423,6 +423,19 @@ def test_family_match_is_relative_in_both_commands(tmp_path, capsys):
         assert "symmetric_two_mode" in ids
 
 
+def test_family_shortcut_is_dropped_where_the_mismatch_can_flip_it(tmp_path, capsys):
+    # b - a = 5e-4 at a = 1e6: the symmetric closed form, which reads a alone,
+    # said "entangled" (margin -2e-4) where the exact Simon margin is +1.2e9
+    kernel = {"standard_form": {"a": 1e6, "b": 1e6 + 5e-4, "c1": 999999.0001,
+                                "c2": 999999.0001}}
+    for command, doc in (("check-gaussian", kernel),
+                         ("check-nongaussian", {"family": "ngpasg", "add": [1, 0],
+                                                "sub": [0, 0], "kernel": kernel})):
+        assert cli.main([command, "--input", write_json(tmp_path / "s.json", doc)]) == 0
+        out = capsys.readouterr().out
+        assert "symmetric_two_mode" not in out and "entangled" not in out
+
+
 @pytest.mark.parametrize("command, text", [
     ("kernel-spectrum", '{"alpha": -1, "r": 0.5}'),
     ("kernel-spectrum", '{"alpha": 1, "r": 1.5}'),

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,32 @@ def test_squeezed_thermal_matches_simon_sign():
         simon = criteria.simon_criterion(StandardForm(a=a, b=b, c1=c, c2=c)).margin
         if abs(st_margin) > 1e-9 and abs(simon) > 1e-9:
             assert (st_margin < 0) == (simon < 0)
+
+
+def exact_simon(sf):
+    """The Simon margin of a float standard form, in exact rational arithmetic."""
+    a, b, c1, c2 = (Fraction(x) for x in (sf.a, sf.b, sf.c1, sf.c2))
+    return (a * b - c1 * c1) * (a * b - c2 * c2) - 2 * abs(c1 * c2) - a * a - b * b + 1
+
+
+def test_family_verdicts_cannot_flip_the_word_at_scale():
+    # squeezed thermal states 1e-6..1e-2 from the PPT boundary with b a little
+    # above a, 400 in each band a in [1e4, 1e6], ..., [1e12, 1e14]: a symmetric
+    # closed form that reads a alone and drops b - a <= 1e-3 says "entangled"
+    # on many separable ones unless the mismatch is weighed against the margin
+    rng = np.random.default_rng(2026)
+    kept = 0
+    for lo in (4, 6, 8, 10, 12):
+        a = 10.0 ** rng.uniform(lo, lo + 2, 400)
+        b = a + rng.uniform(0.0, 1e-3, 400)
+        c = a - (1.0 + rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-6.0, -2.0, 400))
+        for sf in map(StandardForm, a.tolist(), b.tolist(), c.tolist(), c.tolist()):
+            closed = criteria.family_verdicts(sf)
+            kept += len(closed)
+            if exact_simon(sf) > 0:
+                assert not any(v.entangled for v in closed), (sf, closed)
+    # the exact c1 = c2 match keeps the squeezed-thermal form on every state
+    assert kept >= 2000
 
 
 def test_werner_wolf_margin_sign_vs_pair_search():

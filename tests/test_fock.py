@@ -13,6 +13,22 @@ def vacuum_detect():
     return SixParamDetect(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, PositivityMode.OPERATOR_PSD)
 
 
+def test_random_detect_operator_draws_python_floats():
+    # the numpy rejection loop it replaced, as the reference: same draws, same
+    # values bit for bit, handed on as Python floats
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        while True:
+            r = rng.normal(size=(4, 4))
+            g = r @ r.T + fock._JITTER * np.eye(4)
+            want = (g[0, 0], g[1, 1], g[2, 2], g[3, 3], g[0, 2], -g[1, 3])
+            if SixParamDetect.least_eigenvalue(*want) >= 0.0:
+                break
+        d = fock.random_detect_operator(seed)
+        got = (d.m1, d.m2, d.m3, d.m4, d.m5, d.m6)
+        assert got == want and all(type(x) is float for x in got)
+
+
 def test_beta_fock_vacuum():
     d = vacuum_detect()
     beta = fock._generating_matrices(d.cm(), 1.0, 1.0)

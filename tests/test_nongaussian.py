@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cvwitness import families, nongaussian
-from cvwitness.errors import NotPhysical, SingularSum, UnsupportedOrder
+from cvwitness.errors import (NotPhysical, NotSymmetric, SingularSum, UnsupportedOrder,
+                              ValidationError)
 from cvwitness.nongaussian import NGPASGSpec
 from cvwitness.symplectic import _ccm_matrix, gaussian_overlap, gaussian_taylor, validate_cm
 
@@ -302,6 +303,20 @@ def test_traces_reject_detect_cm_not_positive_semidefinite(monkeypatch):
     for trace in (nongaussian.ngpasg_trace_finite, nongaussian.ngpasg_trace_limit):
         with pytest.raises(NotPhysical):
             trace(s, -0.5 * np.eye(2))
+
+
+@pytest.mark.parametrize("gm, error, text", [
+    # each triangle of an asymmetric gamma_M gave its own trace (0.16 and 0.1746)
+    ([[3.0, 2.0], [0.0, 3.0]], NotSymmetric, "not symmetric"),
+    ([[3.0, 0.0], [2.0, 3.0]], NotSymmetric, "not symmetric"),
+    ([[3.0, np.nan], [np.nan, 3.0]], ValidationError, "NaN or infinite"),
+    ([[np.inf, 0.0], [0.0, 3.0]], ValidationError, "NaN or infinite"),
+])
+def test_traces_check_detect_cm_as_validate_cm_does(gm, error, text):
+    s = NGPASGSpec(kernel=validate_cm(np.diag([2.0, 2.0])), adds=(1,), subs=(0,))
+    for trace in (nongaussian.ngpasg_trace_finite, nongaussian.ngpasg_trace_limit):
+        with pytest.raises(error, match=text):
+            trace(s, np.array(gm))
 
 
 def test_limit_gap_is_C_over_lambda():

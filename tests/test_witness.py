@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cvwitness import families, fock, witness
-from cvwitness.errors import NotPhysical, OptimFailure
+from cvwitness.errors import NotPhysical, OptimFailure, ValidationError
 from cvwitness.symplectic import StandardForm, six_param_cm, standard_form, validate_cm
 from cvwitness.witness import PositivityMode, SixParamDetect
 
@@ -22,6 +22,18 @@ def test_detect_operator_quantum_state_mode():
     SixParamDetect(0.5, 0.5, 0.5, 0.5, 0.0, 0.0, PositivityMode.OPERATOR_PSD)
     with pytest.raises(NotPhysical):
         SixParamDetect(0.5, 0.5, 0.5, 0.5, 0.0, 0.0, PositivityMode.QUANTUM_STATE)
+
+
+@pytest.mark.parametrize("mode", list(PositivityMode))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", range(6))
+def test_detect_operator_rejects_non_finite_parameters(slot, bad, mode):
+    # a NaN block drops out of min() in least_eigenvalue, so the operator was
+    # accepted and Lambda then failed with a misleading OptimFailure
+    m = [1.0, 1.0, 1.0, 1.0, 0.0, 0.0]
+    m[slot] = bad
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        SixParamDetect(*m, mode)
 
 
 @pytest.mark.parametrize("m", [
