@@ -74,6 +74,10 @@ def parse_state(doc, location=""):
         rows = doc["cm"]
         if not isinstance(rows, list) or not rows:
             raise SchemaError("'cm' must be a non-empty array of rows", f"{location}/cm")
+        # json reads true/false as bool, an int subclass; NaN and Infinity go on to validate_cm
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for row in rows for v in (row if isinstance(row, list) else (row,))):
+            raise SchemaError("'cm' entries must be numbers", f"{location}/cm")
         try:
             mat = np.array(rows, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -203,6 +207,8 @@ def cmd_check_nongaussian(args):
     state = parse_state(_load_input(args.input))
     if not isinstance(state, nongaussian.NGPASGSpec):
         raise SchemaError("check-nongaussian expects an ngpasg state")
+    if state.n != 2:
+        raise SchemaError("check-nongaussian expects a two-mode kernel", "/kernel")
     v = nongaussian.photon_added_criterion(state)
     report = {
         "command": "check-nongaussian",
@@ -228,7 +234,7 @@ def cmd_witness_optimize(args):
     state = parse_state(_load_input(args.input))
     if isinstance(state, StandardForm):
         cm = validate_cm(state.to_cm())
-    elif isinstance(state, CovarianceMatrix):
+    elif isinstance(state, CovarianceMatrix) and state.n == 2:
         cm = state
     else:
         raise SchemaError("witness-optimize expects a two-mode CM or standard form")

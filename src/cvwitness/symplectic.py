@@ -102,6 +102,10 @@ class StandardForm:
         return six_param_cm(self.a, self.a, self.b, self.b, self.c1, self.c2)
 
     def validate(self):
+        # products, not powers: a Python float power raises OverflowError
+        if not math.isfinite(self.a * self.a + self.b * self.b + self.c1 * self.c1
+                             + self.c2 * self.c2):
+            raise ValidationError("the standard form is beyond float64 range")
         validate_cm(self.to_cm())
         return self
 
@@ -130,9 +134,11 @@ def require_symmetric(g):
     # NaN propagates through max; inf - inf is NaN, which passes every tolerance test below
     if not largest < math.inf:
         raise ValidationError("matrix has a NaN or infinite entry")
-    if float(np.abs(g - g.T).max()) > SYM_RTOL * max(1.0, largest):
+    # halves first, exact in the normal range: g + g^T overflows for entries above ~9e307
+    half, half_t = 0.5 * g, 0.5 * g.T
+    if float(np.abs(half - half_t).max()) > 0.5 * SYM_RTOL * max(1.0, largest):
         raise NotSymmetric("matrix is not symmetric to within tolerance")
-    return 0.5 * (g + g.T)
+    return half + half_t
 
 
 def require_psd(least):
@@ -240,8 +246,8 @@ def _reduce_block(p, q, r):
     sqrt(tr B + 2).
     """
     d = p * r - q * q
-    if d <= 1e-12:
-        raise DegenerateBlock("singular 2x2 diagonal block")
+    if d <= 1e-12 or p <= 0:
+        raise DegenerateBlock("2x2 diagonal block is singular or not positive definite")
     root = math.sqrt(d)
     k = 1.0 / math.sqrt((p + r) / root + 2.0)
     return root, (r / root + 1.0) * k, -q / root * k, (p / root + 1.0) * k
@@ -299,19 +305,6 @@ _PLAN_CACHE_BYTES = 16 << 20
 _plans = {}
 
 
-def _degree_groups(dims, strides):
-    """Flat offsets of the sub-box with these dims, grouped by degree.
-
-    Returns (flat, start, count): flat sorted by degree; degree s occupies
-    flat[start[s] : start[s] + count[s]].
-    """
-    idx = np.indices(dims).reshape(len(dims), math.prod(dims))
-    deg = idx.sum(axis=0)
-    order = np.argsort(deg, kind="stable")
-    count = np.bincount(deg, minlength=sum(dims) - len(dims) + 1)
-    return (strides @ idx)[order], np.cumsum(count) - count, count
-
-
 def _build_plan(caps):
     """The level plan of gaussian_taylor for caps: even degrees only, in order.
 
@@ -332,40 +325,40 @@ def _build_plan(caps):
     top = max(caps, default=0)
     npairs = n * (n + 1) // 2
     w_t = np.min_scalar_type(npairs * (top + 1) - 1)
-    half = n // 2
-    left, _, left_count = _degree_groups(dims[:half], strides[:half])
-    right, right_start, right_count = _degree_groups(dims[half:], strides[half:])
-    left_deg = np.repeat(np.arange(len(left_count)), left_count)
+    deg_t = np.min_scalar_type(sum(caps))
+    deg = sum(np.indices(dims, deg_t, sparse=True), np.zeros((), deg_t)).ravel()
+    # the even entries in flat order, stably sorted by degree
+    flat = np.flatnonzero(deg % 2 == 0).astype(np.min_scalar_type(math.prod(dims) - 1))
+    half = deg[flat] // 2
+    order = flat[np.argsort(half, kind="stable")]
+    count = np.bincount(half)
+    del deg, flat, half  # box-sized, not needed by the steps
+    # numpy sums the terms of a single entry pairwise and those of several in
+    # order; a second copy of a lone entry keeps every step, and every stack, in order
+    copies = np.append(1, np.where(count[1:] == 1, 2, 1))
+    positions = np.repeat(order, np.repeat(copies, count))
+    stored = (copies * count).tolist()
+    # each entry's index within its degree, by flat box position
+    within = np.zeros(math.prod(dims), np.min_scalar_type(count.max() - 1))
     rows = np.arange(n)[:, None]
-    levels, steps, lo, plo = [np.zeros(1, np.int64)], [], 1, 0
-    for d in range(2, sum(caps) + 1, 2):
-        # pair each entry of the left axes, of degree s, with the right ones of degree d - s
-        s = np.clip(d - left_deg, 0, len(right_count) - 1)
-        cnt = np.where(d - left_deg == s, right_count[s], 0)
-        first = np.cumsum(cnt) - cnt
-        at = np.arange(cnt.sum()) - np.repeat(first - right_start[s], cnt)
-        level = np.sort(np.repeat(left, cnt) + right[at])
-        if len(level) == 1:
-            # numpy sums the terms of a single entry pairwise and those of several
-            # in order; a second copy keeps every step, and every stack, in order
-            level = np.repeat(level, 2)
-        prev = levels[-1]
-        src_t = np.min_scalar_type(len(prev) - 1)
-        for pos in np.array_split(level, max(1, len(level) * n // _STEP_TERMS)):
+    steps, lo = [], 1
+    for level in range(1, len(count)):
+        plo, src_t = lo - stored[level - 1], np.min_scalar_type(stored[level - 1] - 1)
+        within[positions[plo : plo + count[level - 1]]] = np.arange(count[level - 1])
+        for pos in np.array_split(positions[lo : lo + stored[level]],
+                                  max(1, stored[level] * n // _STEP_TERMS)):
             b = pos[:, None] // strides % dims
             i = n - 1 - np.argmax(b[:, ::-1] > 0, axis=1)
             bi = b[np.arange(len(pos)), i]
             j = np.where(rows == 0, i, rows - 1 + (rows - 1 >= i))
             aj = np.take_along_axis(b.T, j, axis=0) - (j == i)
             live = aj > 0
-            src = np.searchsorted(prev, pos - strides[i] - strides[j])
+            # a term with a_j = 0 may point outside the box; clip, then drop it
+            src = within.take(pos - strides[i] - strides[j], mode="clip")
             steps.append((plo, lo, lo + len(pos), np.where(live, src, 0).astype(src_t),
                           np.where(live, aj * npairs + i * (i + 1) // 2 + j, 0).astype(w_t),
                           bi.astype(np.min_scalar_type(top))))
             lo += len(pos)
-        plo = lo - len(level)
-        levels.append(level)
-    positions = np.concatenate(levels).astype(np.min_scalar_type(math.prod(dims) - 1))
     nbytes = positions.nbytes + sum(x.nbytes for step in steps for x in step[3:])
     ti, tj = np.tril_indices(n)
     return steps, positions, ti * n + tj, np.sqrt(np.arange(top + 1.0)), nbytes

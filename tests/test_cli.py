@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cvwitness import cli
 from cvwitness.criteria import GHZParams, SymmetricMultimodeParams, WernerWolf2x2Params
@@ -447,9 +449,25 @@ def test_family_shortcut_is_dropped_where_the_mismatch_can_flip_it(tmp_path, cap
     ("sweep-fig2", '{"r_values": [400]}'),
     ("sweep-fig2", '{"n_values": [1], "r_values": [null]}'),
     ("sweep-fig2", '[1, 2]'),
+    ("check-gaussian", json.dumps({"cm": (1e308 * np.eye(4)).tolist()})),
+    ("witness-optimize", json.dumps({"cm": (1e308 * np.eye(4)).tolist()})),
+    ("witness-optimize", json.dumps({"cm": np.eye(2).tolist()})),
+    ("witness-optimize", json.dumps({"cm": np.eye(6).tolist()})),
+    ("check-nongaussian", json.dumps({"family": "ngpasg", "add": [1], "sub": [0],
+                                      "kernel": {"cm": np.eye(2).tolist()}})),
+    ("check-nongaussian", json.dumps({"family": "ngpasg", "add": [1, 0, 0], "sub": [0, 0, 0],
+                                      "kernel": {"cm": np.eye(6).tolist()}})),
+    ("check-gaussian", json.dumps({"cm": [[str(int(x)) for x in row] for row in np.eye(4)]})),
+    ("check-gaussian", json.dumps({"cm": np.eye(4, dtype=bool).tolist()})),
+    ("check-gaussian", '{"standard_form": {"a": 0, "b": 1e308, "c1": 0, "c2": 1}}'),
+    ("witness-optimize", '{"standard_form": {"a": 1e308, "b": -1, "c1": 1e200, "c2": -1}}'),
+    ("witness-optimize", json.dumps({"cm": StandardForm(1e308, -1, 1e200, -1).to_cm().tolist()})),
 ], ids=["alpha-negative", "r-above-1", "alpha-infinite", "alpha-kernel-overflows",
         "alpha-grid-overflows", "n-negative", "n-not-array",
-        "r-overflows", "r-null", "grid-not-object"])
+        "r-overflows", "r-null", "grid-not-object", "cm-symmetrize-overflows",
+        "witness-cm-symmetrize-overflows", "witness-one-mode", "witness-three-mode",
+        "kernel-one-mode", "kernel-three-mode", "cm-strings", "cm-booleans",
+        "standard-form-simon-overflows", "standard-form-negative-block", "cm-negative-block"])
 def test_bad_input_values_are_errors_not_tracebacks(tmp_path, capsys, command, text):
     inp = tmp_path / "in.json"
     inp.write_text(text)
@@ -472,3 +490,78 @@ def test_cold_import_loads_no_oracle_library():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# JSON values of every kind a state document may hold in a number's place
+ENTRIES = st.one_of(st.integers(-3, 3), st.floats(-1e3, 1e3),
+                    st.sampled_from([1e308, -1e308, 1e200, 0, True, False, None, "1", [], {}]))
+FAMILY_KEYS = {"squeezed_thermal": "a b c", "symmetric_two_mode": "a c1 c2",
+               "werner_wolf_2x2": "A B C D E F", "symmetric_multimode": "n a b c1 c2",
+               "ghz": "n a c"}
+# one valid document per shape, for documents with one or two bad values
+VALID_DOCS = [
+    {"cm": C10},
+    {"standard_form": {"a": 2.5, "b": 1.8, "c1": 1.1, "c2": -0.4}},
+    {"family": "squeezed_thermal", "a": 3, "b": 2, "c": 1.5},
+    {"family": "symmetric_two_mode", "a": 2, "c1": 0.5, "c2": 0.3},
+    {"family": "werner_wolf_2x2", "A": 2, "B": 1, "C": 2, "D": 4, "E": 1, "F": 1},
+    {"family": "symmetric_multimode", "n": 3, "a": 2, "b": 2, "c1": 0.5, "c2": 0.5},
+    {"family": "ghz", "n": 3, "a": 2, "c": 0.3},
+    {"family": "ngpasg", "add": [2, 1], "sub": [1, 2], "kernel": {"cm": C10}},
+    {"family": "ngpasg", "add": [1, 0], "sub": [0, 1],
+     "kernel": {"family": "squeezed_thermal", "a": 2, "b": 2, "c": 1.2}},
+]
+
+
+def _keyed(keys, **fixed):
+    return st.fixed_dictionaries({**{k: ENTRIES for k in keys.split()},
+                                  **{k: st.just(v) for k, v in fixed.items()}})
+
+
+def _leaves(doc, path=()):
+    """The path of every value in a JSON document that is not an object or array."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+@st.composite
+def _spoiled(draw, doc):
+    """doc with up to two of its values replaced by ENTRIES."""
+    doc = json.loads(json.dumps(doc))
+    for *parents, key in draw(st.lists(st.sampled_from(list(_leaves(doc))), max_size=2)):
+        target = doc
+        for k in parents:
+            target = target[k]
+        target[key] = draw(ENTRIES)
+    return doc
+
+
+GAUSSIAN_DOCS = st.one_of(
+    st.integers(0, 4).flatmap(lambda k: st.lists(st.lists(ENTRIES, min_size=k, max_size=k),
+                                                  min_size=k, max_size=k)).map(
+        lambda rows: {"cm": rows}),
+    _keyed("a b c1 c2").map(lambda sf: {"standard_form": sf}),
+    *(_keyed(keys, family=family) for family, keys in FAMILY_KEYS.items()),
+)
+STATE_DOCS = st.one_of(
+    st.sampled_from(VALID_DOCS).flatmap(_spoiled),
+    st.recursive(GAUSSIAN_DOCS, lambda kernels: st.fixed_dictionaries({
+        "family": st.just("ngpasg"), "kernel": kernels,
+        "add": st.lists(ENTRIES, max_size=3), "sub": st.lists(ENTRIES, max_size=3)}),
+        max_leaves=3),
+)
+
+
+@given(STATE_DOCS)
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_state_documents_get_a_verdict_or_an_error(tmp_path, capsys, doc):
+    # whatever the document holds, each state command exits 0 or 1, never with an exception
+    inp = write_json(tmp_path / "s.json", doc)
+    for command in ("check-gaussian", "witness-optimize", "check-nongaussian"):
+        rc = cli.main([command, "--input", inp])
+        err = capsys.readouterr().err
+        assert rc == 0 and err == "" or rc == 1 and err.startswith("error:"), (command, rc, err)
