@@ -16,7 +16,7 @@ import numpy as np
 from . import criteria, families, fock, kernelspec, nongaussian, witness
 from .criteria import GHZParams, SymmetricMultimodeParams, WernerWolf2x2Params
 from .errors import CVWitnessError, SchemaError
-from .symplectic import CovarianceMatrix, StandardForm, standard_form, validate_cm
+from .symplectic import CovarianceMatrix, StandardForm, validate_cm
 
 
 def _require(doc, key, location):
@@ -146,22 +146,6 @@ def _verdict_entry(v):
     }
 
 
-def _state_verdicts(state):
-    if isinstance(state, StandardForm):
-        return [criteria.simon_criterion(state), *criteria.family_verdicts(state)]
-    if isinstance(state, CovarianceMatrix):
-        if state.n == 2:
-            return [criteria.simon_criterion(standard_form(state))]
-        raise SchemaError("raw multimode CMs need a named-family description")
-    if isinstance(state, WernerWolf2x2Params):
-        return [criteria.werner_wolf_2x2(state)]
-    if isinstance(state, SymmetricMultimodeParams):
-        return [criteria.multimode_symmetric_full_sep(state)]
-    if isinstance(state, GHZParams):
-        return [criteria.ghz_full_sep(state.a, state.c, state.n)]
-    raise SchemaError("state type not supported by check-gaussian")
-
-
 def _emit_report(report, output):
     for entry in report.get("criteria", []):
         print(f"{entry['criterion_id']} margin {entry['margin']:.9g} "
@@ -189,7 +173,7 @@ def _write_csv(path, header, rows):
 
 def cmd_check_gaussian(args):
     state = parse_state(_load_input(args.input))
-    verdicts = _state_verdicts(state)
+    verdicts = criteria.decide(state)
     report = {
         "command": "check-gaussian",
         "criteria": [_verdict_entry(v) for v in verdicts],

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import families
-from .errors import ImpureLocalCM, NegativeC, ValidationError
-from .symplectic import PSD_ATOL, CovarianceMatrix, validate_cm
+from . import families, witness
+from .errors import ImpureLocalCM, NegativeC, SchemaError, ValidationError
+from .symplectic import PSD_ATOL, CovarianceMatrix, StandardForm, standard_form, validate_cm
 
 MARGIN_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
@@ -296,6 +296,40 @@ def biseparability_certificate(a, c):
 def determinant_ratio(L):
     """L >= 1 for the determinant-ratio statistic minimized over the detect family."""
     return Verdict("determinant_ratio", float(L - 1.0))
+
+
+def decide(state):
+    """The verdicts check-gaussian prints for a parsed state: Simon's and the closed
+    forms family_verdicts keeps for a standard form, Simon's for a two-mode CM, and
+    its own criterion for a named family."""
+    if isinstance(state, StandardForm):
+        return [simon_criterion(state), *family_verdicts(state)]
+    if isinstance(state, CovarianceMatrix):
+        if state.n == 2:
+            return [simon_criterion(standard_form(state))]
+        raise SchemaError("raw multimode CMs need a named-family description")
+    if isinstance(state, WernerWolf2x2Params):
+        return [werner_wolf_2x2(state)]
+    if isinstance(state, SymmetricMultimodeParams):
+        return [multimode_symmetric_full_sep(state)]
+    if isinstance(state, GHZParams):
+        return [ghz_full_sep(state.a, state.c, state.n)]
+    raise SchemaError("state type not supported by check-gaussian")
+
+
+def kernel_verdict(gamma):
+    """Separability verdict for a two-mode Gaussian kernel CM.
+
+    The last closed form family_verdicts keeps for the standard form
+    (symmetric before squeezed thermal), else the determinant-ratio bound
+    that witness.minimize_L gives on that same standard form.
+    """
+    cm = gamma if isinstance(gamma, CovarianceMatrix) else validate_cm(gamma)
+    if cm.n != 2:
+        raise ValueError("kernel classification is defined for two-mode states")
+    sf = standard_form(cm)
+    closed = family_verdicts(sf)
+    return closed[-1] if closed else determinant_ratio(witness.minimize_L(sf)[0])
 
 
 def refined_ww_check(gamma, *locals_):

@@ -13,11 +13,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import criteria
+from .criteria import kernel_verdict
 from .errors import SingularSum, UnsupportedOrder
 from .symplectic import (CovarianceMatrix, _ccm_matrix, gaussian_overlap, gaussian_taylor,
-                         require_psd, require_symmetric, standard_form, validate_cm)
-from . import witness
+                         require_psd, require_symmetric)
 
 # largest Taylor table, prod(alpha_i + 1) entries, a trace may allocate; it
 # fills the numerator's and the denominator's tables as one stack of two
@@ -153,28 +152,9 @@ def ngpasg_trace_limit(s, gamma_m):
     return _detect_overlap(s.kernel, gamma_m)[1]
 
 
-def kernel_verdict(gamma):
-    """Separability verdict for a two-mode Gaussian kernel CM.
-
-    The last closed form criteria.family_verdicts keeps for the standard form
-    (symmetric before squeezed thermal), else the determinant-ratio bound.
-    """
-    cm = gamma if isinstance(gamma, CovarianceMatrix) else validate_cm(gamma)
-    if cm.n != 2:
-        raise ValueError("kernel classification is defined for two-mode states")
-    closed = criteria.family_verdicts(standard_form(cm))
-    if closed:
-        return closed[-1]
-    lval, _ = witness.minimize_L(cm)
-    return criteria.determinant_ratio(lval)
-
-
 def photon_added_criterion(s):
-    """Separability verdict of the non-Gaussian state, via its kernel.
-
-    The verdict depends only on the Gaussian kernel; the add/subtract
-    counts leave it unchanged.
-    """
+    """Separability verdict of the non-Gaussian state: criteria.kernel_verdict of
+    its Gaussian kernel, which the add/subtract counts leave unchanged."""
     return kernel_verdict(s.kernel)
 
 

@@ -200,8 +200,14 @@ _SPLIT = 134217729.0
 
 def _dot2(*pairs):
     """The sum of x * y over pairs (x, y) as if in twice the working precision,
-    rounded once: each product is split exactly (Dekker 1971) and the sum
-    compensated (Dot2 of Ogita, Rump & Oishi 2005)."""
+    rounded once."""
+    return _dot2_pair(*pairs)[0]
+
+
+def _dot2_pair(*pairs):
+    """The sum of x * y over pairs (x, y) in twice the working precision, as an
+    unevaluated pair (hi, lo) with hi the rounded sum: each product is split
+    exactly (Dekker 1971) and the sum compensated (Dot2 of Ogita, Rump & Oishi 2005)."""
     s = e = 0.0
     for x, y in pairs:
         p = x * y
@@ -214,7 +220,10 @@ def _dot2(*pairs):
         z = t - s
         e += ((s - (t - z)) + (p - z)) + (((xh * yh - p) + xh * yl + xl * yh) + xl * yl)
         s = t
-    return s + e
+    # Knuth's two-sum: s + e == hi + lo exactly
+    hi = s + e
+    z = hi - s
+    return hi, (s - (hi - z)) + (e - z)
 
 
 def _two_mode_spectrum(cm, transpose):
@@ -232,10 +241,14 @@ def _two_mode_spectrum(cm, transpose):
     c2 = -sf.c2 if transpose else sf.c2
     det = _dot2((a, b), (-c1, c1)) * _dot2((a, b), (-c2, c2))
     d = _dot2((a, a), (b, b), (-2.0 * c1, c2))
-    e, f, h = _dot2((a, a), (-b, b)), _dot2((a, c1), (-b, c2)), _dot2((a, c2), (-b, c1))
-    plus = 0.5 * (d + math.sqrt(max(_dot2((e, e), (-4.0 * f, h)), 0.0)))
-    # where nu_+ = nu_-, rounding may put the quotient an ulp above nu_+^2
-    return math.sqrt(plus), math.sqrt(min(det / plus, plus))
+    (e, el), (f, fl), (h, hl) = (_dot2_pair((a, a), (-b, b)), _dot2_pair((a, c1), (-b, c2)),
+                                 _dot2_pair((a, c2), (-b, c1)))
+    # e^2 - 4 f h on the pairs; el^2 and fl hl are below the rounding of the rest
+    disc = _dot2((e, e), (2.0 * e, el), (-4.0 * f, h), (-4.0 * f, hl), (-4.0 * fl, h))
+    plus = 0.5 * (d + math.sqrt(max(disc, 0.0)))
+    # where nu_+ = nu_-, rounding may put the quotient an ulp above nu_+^2; plus = 0
+    # where a = b = c1 = c2, a pure state's CM rounded at large squeezing, and nu_- = 0 there too
+    return math.sqrt(plus), math.sqrt(min(det / plus, plus)) if plus else 0.0
 
 
 def _reduce_block(p, q, r):

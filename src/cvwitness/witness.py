@@ -110,13 +110,21 @@ def lambda_product_vacuum(d):
     # and a constant one drops out of the slope
     p, q = d.m1 * d.m3 - d.m5**2, d.m2 * d.m4 - d.m6**2
     terms = [(d.m4, d.m3, d.m3 * d.m4 + 1.0), (d.m1 * q, d.m2 * p, p * q + d.m1 * d.m2)]
-    terms = [(a, b, c) for a, b, c in terms if a or b]
+    # Python floats: math's scalar functions are cheaper than numpy's on one number
+    terms = [(float(a), float(b), float(c)) for a, b, c in terms if a or b]
 
     def slope(t):
-        y = np.exp(t)
-        return sum((a * y - b / y) / np.sqrt(c + a * y + b / y) for a, b, c in terms)
+        try:
+            y = math.exp(t)
+            return sum((a * y - b / y) / math.sqrt(c + a * y + b / y) for a, b, c in terms)
+        except (ArithmeticError, ValueError):
+            # y overflowing or 0, or a radicand below 0 (an M_i in [-PSD_ATOL, 0)),
+            # is NaN: it reads as no sign, so _bracket_end ends in OptimFailure
+            return math.nan
 
-    mins = [0.5 * np.log(b / a) for a, b, _ in terms if a > 0 and b > 0]
+    # a ratio b / a that underflows to 0 puts its minimizer at -inf
+    mins = [0.5 * math.log(r) if r else -math.inf
+            for r in (b / a for a, b, _ in terms if a > 0 and b > 0)]
     lo = _bracket_end(slope, min(mins, default=0.0) - 1.0, -1.0)
     hi = _bracket_end(slope, max(mins, default=0.0) + 1.0, 1.0)
     y = np.exp(brentq(slope, lo, hi, xtol=_EPS, rtol=4.0 * _EPS))

@@ -3,16 +3,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cvwitness import criteria, families
+from cvwitness import criteria, families, nongaussian, symplectic, witness
 from cvwitness.criteria import (
     BISEP_LARGE_C_BOUND,
     BISEP_THRESHOLD_C,
     Classification,
+    GHZParams,
     SymmetricMultimodeParams,
     Verdict,
     WernerWolf2x2Params,
 )
-from cvwitness.errors import ImpureLocalCM, NegativeC, ValidationError
+from cvwitness.errors import ImpureLocalCM, NegativeC, SchemaError, ValidationError
 from cvwitness.symplectic import (
     ModePartition,
     StandardForm,
@@ -230,3 +231,53 @@ def test_refined_ww_search_matches_squeezed_thermal_margin():
             continue
         found = criteria.refined_ww_search(StandardForm(a=a, b=b, c1=c, c2=c))
         assert (found is not None) == (margin >= 0)
+
+
+def test_decide_standard_form_gives_simon_then_its_closed_forms():
+    # squeezed thermal (c1 = c2) and symmetric (a = b) at once, in family_verdicts order
+    sf = StandardForm(a=3.0, b=3.0, c1=2.0, c2=2.0)
+    got = criteria.decide(sf)
+    assert got == [criteria.simon_criterion(sf), *criteria.family_verdicts(sf)]
+    assert [v.criterion_id for v in got] == ["simon", "squeezed_thermal", "symmetric_two_mode"]
+    assert [v.criterion_id for v in criteria.decide(StandardForm(3.0, 2.0, 1.0, 0.5))] == ["simon"]
+
+
+def test_decide_two_mode_cm_gives_simon_on_its_standard_form():
+    cm = validate_cm(families.squeezed_thermal_cm(2.5, 1.5, 0.8))
+    assert criteria.decide(cm) == [criteria.simon_criterion(standard_form(cm))]
+
+
+def test_decide_named_families():
+    ww = WernerWolf2x2Params(2.0, 2.0, 2.0, 2.0, 0.5, 0.5)
+    assert criteria.decide(ww) == [criteria.werner_wolf_2x2(ww)]
+    sym = SymmetricMultimodeParams(3, 2.0, 2.0, 0.3, 0.3)
+    assert criteria.decide(sym) == [criteria.multimode_symmetric_full_sep(sym)]
+    ghz = GHZParams(3, 2.0, 0.3)
+    assert criteria.decide(ghz) == [criteria.ghz_full_sep(2.0, 0.3, 3)]
+
+
+def test_decide_refuses_multimode_cm_and_other_states():
+    cm = validate_cm(families.ghz_cm(3, 2.0, 0.3))
+    with pytest.raises(SchemaError, match="raw multimode CMs need a named-family description"):
+        criteria.decide(cm)
+    kernel = validate_cm(families.squeezed_thermal_cm(2.0, 2.0, 1.0))
+    spec = nongaussian.NGPASGSpec(kernel=kernel, adds=(1, 1), subs=(0, 0))
+    with pytest.raises(SchemaError, match="state type not supported by check-gaussian"):
+        criteria.decide(spec)
+
+
+def test_kernel_verdict_reduces_the_kernel_once(monkeypatch):
+    calls = []
+
+    def counted(cm):
+        calls.append(cm)
+        return symplectic.standard_form(cm)
+
+    # the namespaces through which kernel_verdict can reach standard_form
+    for module in (criteria, witness):
+        monkeypatch.setattr(module, "standard_form", counted)
+    assert nongaussian.kernel_verdict is criteria.kernel_verdict
+    # neither squeezed thermal nor symmetric, so minimize_L decides
+    v = criteria.kernel_verdict(validate_cm(StandardForm(3.0, 2.0, 1.0, 0.5).to_cm()))
+    assert v.criterion_id == "determinant_ratio"
+    assert len(calls) == 1

@@ -431,7 +431,8 @@ def mp_two_mode_spectrum(g, transpose):
 
 def two_mode_spectrum_cases():
     """symmetric_squeezed_thermal(n, r) for n in {0, 0.5, 2} and r up to 5, whose
-    nu_+ = nu_-, then seeded standard forms dressed by local symplectics."""
+    nu_+ = nu_-, seeded standard forms dressed by local symplectics, then the
+    squeezed vacua at r = 7 and 9."""
     cms = [validate_cm(families.symmetric_squeezed_thermal(n, r))
            for n in (0.0, 0.5, 2.0) for r in np.linspace(0.0, 5.0, 21)]
     rng = np.random.default_rng(29)
@@ -443,7 +444,7 @@ def two_mode_spectrum_cases():
         except NotPhysical:
             continue
         cms.append(dressed_cm(sf, rng))
-    return cms
+    return cms + [validate_cm(families.symmetric_squeezed_thermal(0.0, r)) for r in (7.0, 9.0)]
 
 
 def test_two_mode_spectra_against_60_digit_oracle():
@@ -456,3 +457,41 @@ def test_two_mode_spectra_against_60_digit_oracle():
                              mp_two_mode_spectrum(cm.entries, False)
                              + mp_two_mode_spectrum(cm.entries, True)):
             assert abs(got - want) <= 1e-14 * want
+
+
+def test_two_mode_spectra_of_squeezed_vacuum_at_r_10_are_zero():
+    # in float the vacuum's a^2 - c^2 = 1 is lost: a = b = c1 = c2, whose spectra are 0
+    cm = validate_cm(families.symmetric_squeezed_thermal(0.0, 10.0))
+    assert symplectic_eigenvalues(cm) == [0.0, 0.0]
+    assert min_pt_symplectic_eigenvalue(cm) == 0.0
+
+
+def near_degenerate_standard_forms(count=400):
+    """Seeded physical standard forms with nu_+ ~ nu_- and strong coupling: a up
+    to 1e4, b = a (1 +- delta) for delta down to 1e-12, c1^2 = a^2 - k for k in
+    [1, 4], and c2 = +-c1 (1 +- eps) for eps in [1e-16, 1e-12]."""
+    rng = np.random.default_rng(31)
+    sign = (-1.0, 1.0)
+    forms = []
+    while len(forms) < count:
+        a = 10.0 ** rng.uniform(0.0, 4.0)
+        c1 = rng.choice(sign) * np.sqrt(max(a * a - rng.uniform(1.0, 4.0), 0.0))
+        b = a * (1.0 + rng.choice(sign) * 10.0 ** rng.uniform(-12.0, -3.0))
+        c2 = rng.choice(sign) * c1 * (1.0 + rng.choice(sign) * 10.0 ** rng.uniform(-16.0, -12.0))
+        try:
+            forms.append(StandardForm(a, b, c1, c2).validate())
+        except NotPhysical:
+            continue
+    return forms
+
+
+def test_near_degenerate_two_mode_spectra_against_60_digit_oracle():
+    # the oracle reads the standard form the closed form reduces the CM to, so
+    # this measures the closed form alone: here e^2 - 4 f h cancels, so its
+    # factors e, f, h must not be rounded before it
+    for sf in near_degenerate_standard_forms():
+        cm = validate_cm(sf.to_cm())
+        ref = standard_form(cm).to_cm()
+        got = symplectic._two_mode_spectrum(cm, False) + symplectic._two_mode_spectrum(cm, True)
+        for x, w in zip(got, mp_two_mode_spectrum(ref, False) + mp_two_mode_spectrum(ref, True)):
+            assert abs(x - w) <= 1e-14 * w

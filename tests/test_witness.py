@@ -198,6 +198,18 @@ def test_lambda_unattained_minimum_raises():
         witness.lambda_product_vacuum(d)
 
 
+@pytest.mark.parametrize("m", [(1.0, 1.0, 1.0, -1e-10), (1.0, 1.0, -1e-10, 1.0),
+                               (-1e-10, 1.0, 1.0, 1.0), (1.0, 1.0, 1e-200, 1e200),
+                               (1.0, 1.0, 1e-300, 1e300)])
+def test_lambda_unattained_minimum_raises_at_extreme_operators(m):
+    # an M_i in [-PSD_ATOL, 0) passes the positivity test, and the slope's
+    # radicand turns negative as the bracket steps outward; M3 / M4 = 1e-400
+    # underflows, and the bracket then starts at y = 0
+    d = SixParamDetect(*m, 0.0, 0.0, PositivityMode.OPERATOR_PSD)
+    with pytest.raises(OptimFailure):
+        witness.lambda_product_vacuum(d)
+
+
 def test_lambda_vacuum_detect():
     d = SixParamDetect(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, PositivityMode.OPERATOR_PSD)
     lam, x, y = witness.lambda_product_vacuum(d)
