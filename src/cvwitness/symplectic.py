@@ -150,8 +150,8 @@ def require_psd(least):
 def symplectic_eigenvalues(cm):
     """Symplectic spectrum: positive eigenvalue moduli of i*sigma*gamma, descending.
 
-    Two modes take the closed form of _two_mode_spectrum, more modes the
-    eigenvalues of i*sigma*gamma.
+    Two modes take _two_mode_spectrum, exact up to one rounding each, at any
+    scale; more modes the eigenvalues of i*sigma*gamma.
     """
     if cm.n == 2:
         return list(_two_mode_spectrum(cm, transpose=False))
@@ -175,15 +175,15 @@ def partial_transpose(cm, partition):
     flip = np.ones(2 * partition.n)
     for m in partition.modes_of(labels[1]):
         flip[2 * m + 1] = -1.0
-    lam = np.diag(flip)
-    return lam @ cm.entries @ lam
+    return flip[:, None] * cm.entries * flip
 
 
 def min_pt_symplectic_eigenvalue(cm, partition=None):
     """Smallest symplectic eigenvalue of the partial transpose (PPT statistic).
 
-    Two modes have the one partition 1|1 and take the closed form of
-    _two_mode_spectrum; more modes take the eigenvalues of i*sigma*gamma^T_B.
+    Two modes have the one partition 1|1 and take _two_mode_spectrum, exact up
+    to one rounding at any scale; more modes take the eigenvalues of
+    i*sigma*gamma^T_B.
     """
     if cm.n == 2:
         return _two_mode_spectrum(cm, transpose=True)[1]
@@ -194,61 +194,59 @@ def min_pt_symplectic_eigenvalue(cm, partition=None):
     return float(np.min(w))
 
 
-# Dekker's splitter for float64, 2^27 + 1
-_SPLIT = 134217729.0
+# guard bits of the integer square roots, below the one rounding to float
+_GUARD = 64
 
 
-def _dot2(*pairs):
-    """The sum of x * y over pairs (x, y) as if in twice the working precision,
-    rounded once."""
-    return _dot2_pair(*pairs)[0]
+def _two_mode_invariants(entries):
+    """det A, det B, det C and det gamma of a two-mode CM as exact ints at scale
+    2^K, and K. 2^-K is the least place value of the ten upper-triangle entries'
+    53-bit mantissas, so scaling the CM by a power of two leaves the ints alone.
+    det gamma expands along rows (0, 1) into six products of 2x2 minors."""
+    (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (_, _, _, g33) = (
+        entries.tolist())
+    flat = (g00, g01, g02, g03, g11, g12, g13, g22, g23, g33)
+    k = 53 - math.frexp(min(map(abs, filter(None, flat)), default=0.5))[1]
+    try:
+        ints = [*map(int, map(math.ldexp, flat, (k,) * 10))]
+    except OverflowError:  # entries more than 2^970 apart
+        ints = [int(math.ldexp(m, 53)) << max(e - 53 + k, 0) for m, e in map(math.frexp, flat)]
+    g00, g01, g02, g03, g11, g12, g13, g22, g23, g33 = ints
+    det_a, det_b = g00 * g11 - g01 * g01, g22 * g33 - g23 * g23
+    det_c = g02 * g13 - g03 * g12
+    det = (det_a * det_b + det_c * det_c
+           - (g00 * g12 - g02 * g01) * (g12 * g33 - g23 * g13)
+           + (g00 * g13 - g03 * g01) * (g12 * g23 - g22 * g13)
+           + (g01 * g12 - g02 * g11) * (g02 * g33 - g23 * g03)
+           - (g01 * g13 - g03 * g11) * (g02 * g23 - g22 * g03))
+    return det_a, det_b, det_c, det, k
 
 
-def _dot2_pair(*pairs):
-    """The sum of x * y over pairs (x, y) in twice the working precision, as an
-    unevaluated pair (hi, lo) with hi the rounded sum: each product is split
-    exactly (Dekker 1971) and the sum compensated (Dot2 of Ogita, Rump & Oishi 2005)."""
-    s = e = 0.0
-    for x, y in pairs:
-        p = x * y
-        t = _SPLIT * x
-        xh = t - (t - x)
-        t = _SPLIT * y
-        yh = t - (t - y)
-        xl, yl = x - xh, y - yh
-        t = s + p
-        z = t - s
-        e += ((s - (t - z)) + (p - z)) + (((xh * yh - p) + xh * yl + xl * yh) + xl * yl)
-        s = t
-    # Knuth's two-sum: s + e == hi + lo exactly
-    hi = s + e
-    z = hi - s
-    return hi, (s - (hi - z)) + (e - z)
+def _root(num, den, k):
+    """sqrt(num / den) / 2^k for ints num >= 0 and den > 0, rounded once."""
+    t = max(0, (den.bit_length() - num.bit_length()) // 2 + 54 + _GUARD)
+    r, k = math.isqrt((num << 2 * t) // den), k + t
+    try:
+        return r / (1 << k) if k >= 0 else float(r << -k)
+    except OverflowError:
+        raise ValidationError("a symplectic eigenvalue is beyond float64 range") from None
 
 
 def _two_mode_spectrum(cm, transpose):
-    """(nu_+, nu_-) of a two-mode CM, or of its partial transpose, in closed form.
-
-    On the standard form (a, b, c1, c2), nu_+^2 and nu_-^2 are the roots of
-    x^2 - D x + det gamma with det gamma = (ab - c1^2)(ab - c2^2) and
-    D = a^2 + b^2 - 2 c1 c2; the partial transpose flips c2. The larger root
-    takes the discriminant in factored form, (a^2 - b^2)^2 - 4 (a c1 - b c2)
-    (a c2 - b c1), which is exactly 0 where a = b and c1 = c2, and
-    nu_-^2 = det gamma / nu_+^2, so nothing cancels outside _dot2.
-    """
-    sf = standard_form(cm)
-    a, b, c1 = sf.a, sf.b, sf.c1
-    c2 = -sf.c2 if transpose else sf.c2
-    det = _dot2((a, b), (-c1, c1)) * _dot2((a, b), (-c2, c2))
-    d = _dot2((a, a), (b, b), (-2.0 * c1, c2))
-    (e, el), (f, fl), (h, hl) = (_dot2_pair((a, a), (-b, b)), _dot2_pair((a, c1), (-b, c2)),
-                                 _dot2_pair((a, c2), (-b, c1)))
-    # e^2 - 4 f h on the pairs; el^2 and fl hl are below the rounding of the rest
-    disc = _dot2((e, e), (2.0 * e, el), (-4.0 * f, h), (-4.0 * f, hl), (-4.0 * fl, h))
-    plus = 0.5 * (d + math.sqrt(max(disc, 0.0)))
-    # where nu_+ = nu_-, rounding may put the quotient an ulp above nu_+^2; plus = 0
-    # where a = b = c1 = c2, a pure state's CM rounded at large squeezing, and nu_- = 0 there too
-    return math.sqrt(plus), math.sqrt(min(det / plus, plus)) if plus else 0.0
+    """(nu_+, nu_-) of a two-mode CM, or of its partial transpose, each exact up
+    to one rounding: the roots of x^2 - Delta x + det gamma, with
+    Delta = det A + det B + 2 det C (the partial transpose flips det C), from
+    the exact invariants. nu_+^2 = (Delta + sqrt(Delta^2 - 4 det gamma)) / 2
+    takes an integer square root with _GUARD guard bits, and
+    nu_-^2 = det gamma / nu_+^2 cancels nowhere."""
+    det_a, det_b, det_c, det, k = _two_mode_invariants(cm.entries)
+    delta = det_a + det_b + (-2 if transpose else 2) * det_c
+    plus = (delta << _GUARD) + math.isqrt(max(delta * delta - 4 * det, 0) << 2 * _GUARD)
+    nu_plus = _root(plus, 1 << _GUARD + 1, k)
+    # Delta = det gamma = 0 for the float CM of a two-mode squeezed vacuum at
+    # r = 10, and det gamma < 0 for some rounded pure states: nu_- = 0 there.
+    # Where nu_+ = nu_-, the floors may put nu_- a rounding above nu_+
+    return nu_plus, min(_root(max(det, 0) << _GUARD + 1, plus, k), nu_plus) if plus else 0.0
 
 
 def _reduce_block(p, q, r):

@@ -1,0 +1,134 @@
+"""Named mutations of the package, each with the tests that must catch it.
+
+    python tests/mutations.py [--id ID ...]
+
+For each mutation the runner copies src/, tests/ and pyproject.toml into a
+temporary directory, replaces one exact snippet in one file there, runs the
+listed tests on the copy and prints "caught" when every listed test fails,
+"survived" otherwise; the exit code is 1 if any mutation survived. It is not
+part of tier-1: tests/test_mutations.py only checks that each old snippet
+still occurs exactly once in its file, so a change to a guarded line must
+update its mutation too.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutation(NamedTuple):
+    id: str
+    file: str
+    old: str
+    new: str
+    tests: tuple
+
+
+MUTATIONS = [
+    # the four two-mode invariants formed in float64 from the scaled entries
+    # instead of as exact ints: the spectra lose digits where Delta^2 - 4 det
+    # gamma or det gamma cancels
+    Mutation(
+        id="invariants-in-float",
+        file="src/cvwitness/symplectic.py",
+        old="    return det_a, det_b, det_c, det, k\n",
+        new=("    f = [float(x) for x in ints]\n"
+             "    return (int(f[0] * f[4] - f[1] * f[1]), int(f[7] * f[9] - f[8] * f[8]),\n"
+             "            int(f[2] * f[6] - f[3] * f[5]), int(np.linalg.det(np.ldexp(entries, k))), k)\n"),
+        tests=("tests/test_symplectic.py::test_two_mode_spectra_against_60_digit_oracle",
+               "tests/test_symplectic.py::test_near_degenerate_two_mode_spectra_against_60_digit_oracle"),
+    ),
+    # acceptance 4: one K/N coefficient of the generating-function side off by
+    # 1e-6 relative; the fock_elements tensor side is untouched
+    Mutation(
+        id="acceptance-4-generating-coefficient",
+        file="src/cvwitness/fock.py",
+        old="    k6 = 0.5 * (-np.sqrt(x * y) * m6 + m5 / np.sqrt(x * y))\n",
+        new="    k6 = 0.5 * (-np.sqrt(x * y) * m6 + (1.0 + 1e-6) * m5 / np.sqrt(x * y))\n",
+        tests=("tests/test_acceptance.py::test_acceptance_4_fock_cross_path",),
+    ),
+    # acceptance 9: the detect correction taken as L^T ccm^-1 L, not its half;
+    # the ladder-operator oracle is test-side
+    Mutation(
+        id="acceptance-9-detect-correction",
+        file="src/cvwitness/nongaussian.py",
+        old="    return a0, 0.25 * (af + af.T)  # the half of L^T ccm^-1 L, symmetrized\n",
+        new="    return a0, 0.5 * (af + af.T)  # the half of L^T ccm^-1 L, symmetrized\n",
+        tests=("tests/test_acceptance.py::test_acceptance_9_ngpasg_fock_oracle",),
+    ),
+    # acceptance 10: the Werner-Wolf closed form with its |E F| term halved;
+    # the certificate search is untouched
+    Mutation(
+        id="acceptance-10-werner-wolf-margin",
+        file="src/cvwitness/criteria.py",
+        old="    margin = (a * c - e * e) * (b * d - f * f) - 2 * abs(e * f) - c * d - a * b + 1\n",
+        new="    margin = (a * c - e * e) * (b * d - f * f) - abs(e * f) - c * d - a * b + 1\n",
+        tests=("tests/test_acceptance.py::test_acceptance_10_werner_wolf_closed_form_vs_search",),
+    ),
+    # the symmetric family guard off: every a ~ b candidate keeps its closed
+    # form, whose word the mismatch b - a can flip at large a
+    Mutation(
+        id="family-guard-off",
+        file="src/cvwitness/criteria.py",
+        old="        if a == b or abs((b - a) * slope) <= 0.5 * abs(f1 * f2):\n",
+        new="        if True:\n",
+        tests=("tests/test_criteria.py::test_family_verdicts_cannot_flip_the_word_at_scale",
+               "tests/test_cli.py::test_family_shortcut_is_dropped_where_the_mismatch_can_flip_it"),
+    ),
+]
+
+
+def failing_tests(output):
+    """Node ids on the FAILED and ERROR lines of pytest's -rfE summary."""
+    return {line.split()[1] for line in output.splitlines()
+            if line.startswith(("FAILED ", "ERROR ")) and len(line.split()) > 1}
+
+
+def run(mutation):
+    """Apply mutation to a copy of the tree and run its tests; True if caught."""
+    with tempfile.TemporaryDirectory(prefix="cvwitness-mutation-") as tmp:
+        tmp = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tmp / name, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        path = tmp / mutation.file
+        text = path.read_text()
+        if text.count(mutation.old) != 1:
+            raise SystemExit(f"{mutation.id}: old snippet does not occur exactly once")
+        path.write_text(text.replace(mutation.old, mutation.new))
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+             *mutation.tests], cwd=tmp, env=env, capture_output=True, text=True)
+        return set(mutation.tests) <= failing_tests(proc.stdout)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--id", action="append", help="run only this mutation (repeatable)")
+    args = parser.parse_args(argv)
+    chosen = [m for m in MUTATIONS if args.id is None or m.id in args.id]
+    if args.id and len(chosen) != len(set(args.id)):
+        parser.error(f"unknown id among {args.id}")
+    start, survived = time.monotonic(), 0
+    for m in chosen:
+        t0 = time.monotonic()
+        caught = run(m)
+        survived += not caught
+        print(f"{m.id}: {'caught' if caught else 'survived'} ({time.monotonic() - t0:.1f} s)",
+              flush=True)
+    print(f"{len(chosen) - survived}/{len(chosen)} caught in {time.monotonic() - start:.1f} s")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

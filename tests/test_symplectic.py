@@ -1,7 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cvwitness import families, symplectic
@@ -25,16 +25,17 @@ from cvwitness.symplectic import (
 from oracles import cm_of_rho, single_mode_gaussian_rho
 
 
-def random_symplectic_2x2(rng):
-    """Random 2x2 symplectic (det 1): rotation * squeeze * rotation."""
-
+def symplectic_2x2(s, t1, t2):
+    """R(t1) diag(e^s, e^-s) R(t2), a 2x2 symplectic of squeezing s."""
     def rot(t):
         return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
 
-    r = rng.uniform(-0.5, 0.5)
-    return rot(rng.uniform(0, np.pi)) @ np.diag([np.exp(r), np.exp(-r)]) @ rot(
-        rng.uniform(0, np.pi)
-    )
+    return rot(t1) @ np.diag([np.exp(s), np.exp(-s)]) @ rot(t2)
+
+
+def random_symplectic_2x2(rng):
+    """Random 2x2 symplectic (det 1): rotation * squeeze * rotation."""
+    return symplectic_2x2(rng.uniform(-0.5, 0.5), rng.uniform(0, np.pi), rng.uniform(0, np.pi))
 
 
 def test_symplectic_form_structure():
@@ -419,11 +420,14 @@ def mp_two_mode_spectrum(g, transpose):
     """(nu_+, nu_-) of the float CM g, or of its partial transpose, taken as
     exact, from the invariants det A + det B +- 2 det C and det gamma of the
     matrix itself, in 60-digit arithmetic."""
+    def det2(i, j):
+        # mpmath.det pivots into an error on a 2x2 block with a zero column
+        return m[i, j] * m[i + 1, j + 1] - m[i, j + 1] * m[i + 1, j]
+
     with mpmath.workdps(60):
         m = mpmath.matrix(g.tolist())
         sign = -1 if transpose else 1
-        d = (mpmath.det(m[0:2, 0:2]) + mpmath.det(m[2:4, 2:4])
-             + 2 * sign * mpmath.det(m[0:2, 2:4]))
+        d = det2(0, 0) + det2(2, 2) + 2 * sign * det2(0, 2)
         det = mpmath.det(m)
         plus = (d + mpmath.sqrt(max(d * d - 4 * det, 0))) / 2
         return mpmath.sqrt(plus), mpmath.sqrt(det / plus)
@@ -447,16 +451,92 @@ def two_mode_spectrum_cases():
     return cms + [validate_cm(families.symmetric_squeezed_thermal(0.0, r)) for r in (7.0, 9.0)]
 
 
+def assert_spectra_match_oracle(cm, rtol=1e-15):
+    """Both spectra of cm, through the public functions, within rtol of the
+    60-digit spectra of the same float CM."""
+    plus, minus = symplectic_eigenvalues(cm)
+    pt_plus, pt_minus = symplectic._two_mode_spectrum(cm, transpose=True)
+    assert min_pt_symplectic_eigenvalue(cm) == pt_minus
+    for got, want in zip((plus, minus, pt_plus, pt_minus),
+                         mp_two_mode_spectrum(cm.entries, False)
+                         + mp_two_mode_spectrum(cm.entries, True)):
+        assert abs(got - want) <= rtol * want
+
+
 def test_two_mode_spectra_against_60_digit_oracle():
-    # the closed form against the same float input in exact-enough arithmetic
-    for cm in two_mode_spectrum_cases():
-        plus, minus = symplectic_eigenvalues(cm)
-        pt_plus, pt_minus = symplectic._two_mode_spectrum(cm, transpose=True)
-        assert min_pt_symplectic_eigenvalue(cm) == pt_minus
-        for got, want in zip((plus, minus, pt_plus, pt_minus),
-                             mp_two_mode_spectrum(cm.entries, False)
-                             + mp_two_mode_spectrum(cm.entries, True)):
-            assert abs(got - want) <= 1e-14 * want
+    # the spectra against the same float input in exact-enough arithmetic; the
+    # dressed squeezed vacua of standard_form_cases() were 2.9e-6 off while the
+    # spectra were taken from the rounded standard form
+    for cm in two_mode_spectrum_cases() + standard_form_cases():
+        assert_spectra_match_oracle(cm)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e300, 1.7e308])
+def test_two_mode_spectra_of_huge_cms(scale):
+    # the invariants are ints, so nothing overflows before the one rounding;
+    # at 1e200 the spectra used to be NaN
+    assert_spectra_match_oracle(validate_cm(scale * np.eye(4)))
+
+
+def test_two_mode_spectra_of_huge_dressed_cm():
+    g = dressed_cm(StandardForm(2.0, 1.5, 0.9, 0.4), np.random.default_rng(7)).entries
+    assert_spectra_match_oracle(validate_cm(1e290 * g))
+
+
+def test_two_mode_spectra_of_entries_far_apart():
+    # 1e200 and 2e-200 are 2^1328 apart: their common-scale ints need shifts,
+    # as 2^1328 times the larger one overflows a float. The modes decouple, so
+    # the oracle is sqrt(det A) (mpmath.det takes 2e-200 for a zero pivot)
+    cm = validate_cm(np.diag([1e200, 2e-200, 3.0, 3.0]))
+    with mpmath.workdps(60):
+        want = mpmath.sqrt(mpmath.mpf(1e200) * mpmath.mpf(2e-200))
+    assert symplectic_eigenvalues(cm)[0] == 3.0
+    for got in (symplectic_eigenvalues(cm)[1], min_pt_symplectic_eigenvalue(cm)):
+        assert abs(got - want) <= 1e-15 * want
+
+
+def test_two_mode_spectra_where_rounding_makes_det_gamma_negative():
+    # a squeezed vacuum at r = 9.03 with its couplings 3 ulps apart: validate_cm
+    # accepts it, yet det gamma < 0 exactly, so nu_- reads 0 as at r = 10
+    a, c = np.cosh(18.06), np.sinh(18.06)
+    cm = validate_cm(symplectic.six_param_cm(a, a, a, a, c - 3 * np.spacing(c),
+                                             c + 3 * np.spacing(c)))
+    assert symplectic._two_mode_invariants(cm.entries)[3] < 0
+    assert symplectic_eigenvalues(cm)[1] == 0.0
+    assert min_pt_symplectic_eigenvalue(cm) == 0.0
+
+
+def test_two_mode_spectrum_beyond_float64_range_is_refused():
+    # a = b = c1 = c2 = 1e308: the partial transpose's nu_+ is 2e308
+    cm = CovarianceMatrix(entries=symplectic.six_param_cm(*[1e308] * 6))
+    assert symplectic._two_mode_spectrum(cm, False) == (0.0, 0.0)
+    with pytest.raises(ValidationError, match="beyond float64 range"):
+        symplectic._two_mode_spectrum(cm, True)
+
+
+@given(a=st.floats(1.0, 30.0), b=st.floats(1.0, 30.0), u1=st.floats(-1.0, 1.0),
+       u2=st.floats(-1.0, 1.0), sa=st.floats(-6.0, 6.0), sb=st.floats(-6.0, 6.0),
+       angles=st.tuples(*[st.floats(0.0, np.pi)] * 4), j=st.integers(0, 900))
+@settings(max_examples=150, deadline=None)
+def test_two_mode_spectra_scale_by_powers_of_two_exactly(a, b, u1, u2, sa, sb, angles, j):
+    # the invariants of 2^j gamma are those of gamma at scale 2^(K - j), so every
+    # spectrum scales by 2^j bit for bit
+    sf = StandardForm(a, b, u1 * np.sqrt(a * b), u2 * np.sqrt(a * b))
+    try:
+        sf.validate()
+    except NotPhysical:
+        assume(False)
+    s = np.zeros((4, 4))
+    s[:2, :2] = symplectic_2x2(sa, *angles[:2])
+    s[2:, 2:] = symplectic_2x2(sb, *angles[2:])
+    g = s @ sf.to_cm() @ s.T
+    cm = CovarianceMatrix(entries=0.5 * (g + g.T))
+    assert_spectra_match_oracle(cm)
+    scaled = CovarianceMatrix(entries=2.0**j * cm.entries)
+    assert symplectic_eigenvalues(scaled) == [2.0**j * x for x in symplectic_eigenvalues(cm)]
+    assert symplectic._two_mode_spectrum(scaled, True) == tuple(
+        2.0**j * x for x in symplectic._two_mode_spectrum(cm, True))
+    assert min_pt_symplectic_eigenvalue(scaled) == 2.0**j * min_pt_symplectic_eigenvalue(cm)
 
 
 def test_two_mode_spectra_of_squeezed_vacuum_at_r_10_are_zero():
@@ -486,12 +566,7 @@ def near_degenerate_standard_forms(count=400):
 
 
 def test_near_degenerate_two_mode_spectra_against_60_digit_oracle():
-    # the oracle reads the standard form the closed form reduces the CM to, so
-    # this measures the closed form alone: here e^2 - 4 f h cancels, so its
-    # factors e, f, h must not be rounded before it
+    # here Delta^2 - 4 det gamma cancels, and det gamma nearly does: any rounding
+    # of the invariants before the square root shows
     for sf in near_degenerate_standard_forms():
-        cm = validate_cm(sf.to_cm())
-        ref = standard_form(cm).to_cm()
-        got = symplectic._two_mode_spectrum(cm, False) + symplectic._two_mode_spectrum(cm, True)
-        for x, w in zip(got, mp_two_mode_spectrum(ref, False) + mp_two_mode_spectrum(ref, True)):
-            assert abs(x - w) <= 1e-14 * w
+        assert_spectra_match_oracle(validate_cm(sf.to_cm()))
