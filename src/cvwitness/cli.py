@@ -15,7 +15,7 @@ import numpy as np
 
 from . import criteria, families, fock, kernelspec, nongaussian, witness
 from .criteria import GHZParams, SymmetricMultimodeParams, WernerWolf2x2Params
-from .errors import CVWitnessError, SchemaError
+from .errors import CVWitnessError, SchemaError, ValidationError
 from .symplectic import CovarianceMatrix, StandardForm, validate_cm
 
 
@@ -54,12 +54,12 @@ def _numbers(doc, keys, location):
     return [_number(doc, key, location) for key in keys]
 
 
-def _validated(state, location):
-    """state once its validate() passes; a failure becomes a SchemaError at location."""
+def _validated(location, kind, *args):
+    """kind(*args), built and validated; a failure becomes a SchemaError at location."""
     try:
-        return state.validate()
+        return kind(*args).validate()
     except (CVWitnessError, ValueError) as exc:
-        raise SchemaError(f"invalid {type(state).__name__}: {exc}", location)
+        raise SchemaError(f"invalid {kind.__name__}: {exc}", location)
 
 
 def parse_state(doc, location=""):
@@ -82,19 +82,14 @@ def parse_state(doc, location=""):
             mat = np.array(rows, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"'cm' is not numeric: {exc}", f"{location}/cm")
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 != 0:
-            raise SchemaError(
-                f"'cm' must be square with even dimension, got {mat.shape}",
-                f"{location}/cm",
-            )
         try:
             return validate_cm(mat)
         except CVWitnessError as exc:
             raise SchemaError(f"invalid covariance matrix: {exc}", f"{location}/cm")
     if "standard_form" in doc:
         loc = f"{location}/standard_form"
-        sf = StandardForm(*_numbers(doc["standard_form"], ("a", "b", "c1", "c2"), loc))
-        return _validated(sf, loc)
+        vals = _numbers(doc["standard_form"], ("a", "b", "c1", "c2"), loc)
+        return _validated(loc, StandardForm, *vals)
     family = _require(doc, "family", location)
     if family in ("symmetric_multimode", "ghz"):
         n = _require(doc, "n", location)
@@ -102,21 +97,21 @@ def parse_state(doc, location=""):
             raise SchemaError("'n' must be an integer >= 2", f"{location}/n")
     if family == "squeezed_thermal":
         a, b, c = _numbers(doc, ("a", "b", "c"), location)
-        return _validated(StandardForm(a, b, c, c), location)
+        return _validated(location, StandardForm, a, b, c, c)
     if family == "symmetric_two_mode":
         a, c1, c2 = _numbers(doc, ("a", "c1", "c2"), location)
-        return _validated(StandardForm(a, a, c1, c2), location)
+        return _validated(location, StandardForm, a, a, c1, c2)
     if family == "werner_wolf_2x2":
-        return _validated(WernerWolf2x2Params(*_numbers(doc, "ABCDEF", location)), location)
+        return _validated(location, WernerWolf2x2Params, *_numbers(doc, "ABCDEF", location))
     if family == "symmetric_multimode":
         vals = _numbers(doc, ("a", "b", "c1", "c2"), location)
-        return _validated(SymmetricMultimodeParams(n, *vals), location)
+        return _validated(location, SymmetricMultimodeParams, n, *vals)
     if family == "ghz":
-        return _validated(GHZParams(n, *_numbers(doc, ("a", "c"), location)), location)
+        return _validated(location, GHZParams, n, *_numbers(doc, ("a", "c"), location))
     if family == "ngpasg":
         kernel = parse_state(_require(doc, "kernel", location), f"{location}/kernel")
         if isinstance(kernel, StandardForm):
-            kernel = validate_cm(kernel.to_cm())
+            kernel = CovarianceMatrix(entries=kernel.to_cm())  # validated as parsed
         if not isinstance(kernel, CovarianceMatrix):
             raise SchemaError("ngpasg kernel must resolve to a covariance matrix",
                               f"{location}/kernel")
@@ -147,13 +142,17 @@ def _verdict_entry(v):
 
 
 def _emit_report(report, output):
+    try:
+        # JSON has no NaN or Infinity (RFC 8259), so a report holds finite numbers only
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValidationError("the report holds a number beyond float64 range") from None
     for entry in report.get("criteria", []):
         print(f"{entry['criterion_id']} margin {entry['margin']:.9g} "
               f"{entry['classification']}")
     if output:
         with open(output, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
 
 
 def _load_input(path):
@@ -216,13 +215,10 @@ def cmd_check_nongaussian(args):
 
 def cmd_witness_optimize(args):
     state = parse_state(_load_input(args.input))
-    if isinstance(state, StandardForm):
-        cm = validate_cm(state.to_cm())
-    elif isinstance(state, CovarianceMatrix) and state.n == 2:
-        cm = state
-    else:
+    if not (isinstance(state, StandardForm)
+            or isinstance(state, CovarianceMatrix) and state.n == 2):
         raise SchemaError("witness-optimize expects a two-mode CM or standard form")
-    lval, best = witness.minimize_L(cm)
+    lval, best = witness.minimize_L(state)
     report = {
         "command": "witness-optimize",
         "criteria": [_verdict_entry(criteria.determinant_ratio(lval))],

@@ -91,21 +91,26 @@ class ModePartition:
 
 @dataclass(frozen=True)
 class StandardForm:
-    """Two-mode standard form (a, a | b, b) diagonal blocks, diag(c1, -c2) coupling."""
+    """Two-mode standard form (a, a | b, b) diagonal blocks, diag(c1, -c2) coupling.
+
+    Construction raises ValidationError unless a^2 + b^2 + c1^2 + c2^2 is finite.
+    """
 
     a: float
     b: float
     c1: float
     c2: float
 
+    def __post_init__(self):
+        # products of Python floats: a float power raises OverflowError, a numpy product warns
+        a, b, c1, c2 = map(float, (self.a, self.b, self.c1, self.c2))
+        if not math.isfinite(a * a + b * b + c1 * c1 + c2 * c2):
+            raise ValidationError("the standard form is beyond float64 range")
+
     def to_cm(self):
         return six_param_cm(self.a, self.a, self.b, self.b, self.c1, self.c2)
 
     def validate(self):
-        # products, not powers: a Python float power raises OverflowError
-        if not math.isfinite(self.a * self.a + self.b * self.b + self.c1 * self.c1
-                             + self.c2 * self.c2):
-            raise ValidationError("the standard form is beyond float64 range")
         validate_cm(self.to_cm())
         return self
 

@@ -127,17 +127,17 @@ def lambda_product_vacuum(d):
             for r in (b / a for a, b, _ in terms if a > 0 and b > 0)]
     lo = _bracket_end(slope, min(mins, default=0.0) - 1.0, -1.0)
     hi = _bracket_end(slope, max(mins, default=0.0) + 1.0, 1.0)
-    y = np.exp(brentq(slope, lo, hi, xtol=_EPS, rtol=4.0 * _EPS))
+    # numpy's exp, not math's: they differ in the last bit on some arguments
+    y = float(np.exp(brentq(slope, lo, hi, xtol=_EPS, rtol=4.0 * _EPS)))
     alpha, gamma = d.m3 + y, d.m4 + 1.0 / y
     beta, delta = d.m1 * alpha - d.m5**2, d.m2 * gamma - d.m6**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.sqrt(beta * gamma / (alpha * delta))
-    if not (0.0 < x < np.inf and 0.0 < y < np.inf):
-        raise OptimFailure(
-            f"determinant minimum is not attained (x = {float(x)!r}, y = {float(y)!r})"
-        )
-    lam = 4.0 / np.sqrt(detect_determinant(d, x, y))
-    return float(lam), float(x), float(y)
+    try:
+        x = math.sqrt(beta * gamma / (alpha * delta))
+    except (ZeroDivisionError, ValueError):
+        x = math.nan  # alpha * delta is 0, or the ratio is negative
+    if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+        raise OptimFailure(f"determinant minimum is not attained (x = {x!r}, y = {y!r})")
+    return 4.0 / math.sqrt(detect_determinant(d, x, y)), x, y
 
 
 def L_ratio(gamma, d):
@@ -209,18 +209,16 @@ def minimize_L(gamma):
     Minimizes a large-parameter schedule exactly for each M1 on the standard
     form sf of gamma in both party orders, so L is the same in every local
     frame and party order, and compares the analytic infinite-parameter limit
-    (b+1)/2 - c^2/(2(a-1)). Returns (L, best_detect): best_detect is None when
-    the limit wins, else it is in the frame of sf, L_ratio(sf.to_cm(),
-    best_detect) == L. Raises ValidationError when sf is beyond float64 range.
+    (b+1)/2 - c^2/(2(a-1)). A StandardForm gamma is taken in standard_form's
+    frame, c1 >= |c2|. Returns (L, best_detect): best_detect is None when the
+    limit wins, else L_ratio(sf.to_cm(), best_detect) == L for sf in that frame.
     """
     sf = standard_form(gamma) if isinstance(gamma, CovarianceMatrix) else gamma
     sa, sb, c1, c2 = float(sf.a), float(sf.b), float(sf.c1), float(sf.c2)
+    # local rotations swap c1 and c2 and flip both signs; det C = -c1 c2 stays
+    c1, c2 = max(abs(c1), abs(c2)), math.copysign(min(abs(c1), abs(c2)), c1 * c2)
     a, b = (sa, sb) if sa >= sb else (sb, sa)
     c = 0.5 * (c1 + c2)
-    # past this check an overflow can only make a schedule value inf, far above
-    # the limit, so every state in range gets a finite L
-    if not math.isfinite(a * b + c1 * c1 + c2 * c2):
-        raise ValidationError("the standard form is beyond float64 range")
 
     # The sector factors of det(gamma_M + diag(x, 1/x, y, 1/y)) are posynomials
     # in (x, y), with constant term M1 - u^2 (M1+1) >= 0 up to hi, that trade

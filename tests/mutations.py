@@ -83,6 +83,60 @@ MUTATIONS = [
         tests=("tests/test_criteria.py::test_family_verdicts_cannot_flip_the_word_at_scale",
                "tests/test_cli.py::test_family_shortcut_is_dropped_where_the_mismatch_can_flip_it"),
     ),
+    # the four properties of tests/test_properties.py, one mutation each.
+    # Local symplectic invariance: standard_form drops the off-diagonal entry of
+    # S_A, which is 0 on an undressed form, when it forms S_A C
+    Mutation(
+        id="property-local-symplectic",
+        file="src/cvwitness/symplectic.py",
+        old="    x0, x1 = as_ * g02 + at * g12, as_ * g03 + at * g13\n",
+        new="    x0, x1 = as_ * g02, as_ * g03\n",
+        tests=("tests/test_properties.py::test_invariant_under_local_symplectic_maps",),
+    ),
+    # party swap: minimize_L takes the schedule in the given party order only
+    Mutation(
+        id="property-party-swap",
+        file="src/cvwitness/witness.py",
+        old="    for swapped, (p, q) in enumerate(((sa, sb), (sb, sa))):\n",
+        new="    for swapped, (p, q) in enumerate(((sa, sb),)):\n",
+        tests=("tests/test_properties.py::test_invariant_under_party_swap",),
+    ),
+    # added noise: the infinite-parameter limit of minimize_L with the mean
+    # coupling doubled, which puts L below 1 on separable states
+    Mutation(
+        id="property-added-noise",
+        file="src/cvwitness/witness.py",
+        old="    c = 0.5 * (c1 + c2)\n",
+        new="    c = c1 + c2\n",
+        tests=("tests/test_properties.py::test_noise_keeps_separable_states_separable",),
+    ),
+    # Simon agreement: the symmetric closed form with the sign of c2 flipped
+    Mutation(
+        id="property-simon-agreement",
+        file="src/cvwitness/criteria.py",
+        old='    return Verdict("symmetric_two_mode", float((a - c1) * (a - c2) - 1.0))\n',
+        new='    return Verdict("symmetric_two_mode", float((a - c1) * (a + c2) - 1.0))\n',
+        tests=("tests/test_properties.py::test_kernel_verdict_agrees_with_simon_on_closed_form_families",),
+    ),
+    # the float64-range rule of a standard form lifted from its type: each
+    # command meets 1e160 I4 downstream, with its own answer
+    Mutation(
+        id="standard-form-range-check-off",
+        file="src/cvwitness/symplectic.py",
+        old=("        if not math.isfinite(a * a + b * b + c1 * c1 + c2 * c2):\n"
+             '            raise ValidationError("the standard form is beyond float64 range")\n'),
+        new="",
+        tests=("tests/test_cli.py::test_one_answer_per_state_beyond_float64_range",),
+    ),
+    # minimize_L takes a standard form's couplings as given, not in the frame
+    # c1 >= |c2|: a form with negative couplings gets a larger L than its CM
+    Mutation(
+        id="minimize-L-coupling-frame-off",
+        file="src/cvwitness/witness.py",
+        old="    c1, c2 = max(abs(c1), abs(c2)), math.copysign(min(abs(c1), abs(c2)), c1 * c2)\n",
+        new="",
+        tests=("tests/test_witness.py::test_minimize_L_of_a_standard_form_is_that_of_its_cm",),
+    ),
 ]
 
 

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cvwitness import cli
+from cvwitness import cli, criteria, nongaussian, symplectic, witness
 from cvwitness.criteria import GHZParams, SymmetricMultimodeParams, WernerWolf2x2Params
-from cvwitness.errors import SchemaError
+from cvwitness.errors import SchemaError, ValidationError
 from cvwitness.nongaussian import NGPASGSpec
-from cvwitness.symplectic import CovarianceMatrix, StandardForm
+from cvwitness.symplectic import (CovarianceMatrix, StandardForm, six_param_cm, standard_form,
+                                  validate_cm)
 
 
 def write_json(path, doc):
@@ -110,7 +111,7 @@ def test_check_gaussian_cm_round_trip(tmp_path):
 
 
 def test_check_gaussian_nan_margin_is_an_error(tmp_path, capsys):
-    # a finite CM whose standard form overflows gives a NaN Simon margin, not a verdict
+    # a finite CM whose standard form is beyond float64 range gets an error, not a verdict
     inp = write_json(tmp_path / "s.json", {"cm": (1e200 * np.eye(4)).tolist()})
     out = tmp_path / "r.json"
     rc = cli.main(["check-gaussian", "--input", inp, "--output", str(out)])
@@ -387,7 +388,7 @@ def test_non_finite_cm_is_an_error_not_a_verdict(tmp_path, capsys, command, doc)
 
 
 def test_witness_optimize_rejects_cm_beyond_float64(tmp_path, capsys):
-    # the CM is valid, but the determinants behind L overflow; that is no verdict
+    # the CM is valid, but its standard form is beyond float64 range; that is no verdict
     out = tmp_path / "r.json"
     doc = {"cm": (1e200 * np.eye(4)).tolist()}
     rc = cli.main(["witness-optimize", "--input", write_json(tmp_path / "s.json", doc),
@@ -410,6 +411,104 @@ def test_witness_optimize_rejects_standard_form_beyond_float64(tmp_path, capsys)
     assert rc == 1 and captured.out == ""
     assert captured.err.startswith("error:") and "beyond float64 range" in captured.err
     assert not out.exists()
+
+
+def test_one_answer_per_state_beyond_float64_range(tmp_path, capsys):
+    # 1e160 I4 is a valid CM whose standard form has a^2 = 1e320: every command
+    # and the library refuse it with the same error
+    cm = {"cm": (1e160 * np.eye(4)).tolist()}
+    kernel = {"family": "ngpasg", "add": [1, 0], "sub": [0, 0], "kernel": cm}
+    for command, doc in (("check-gaussian", cm), ("witness-optimize", cm),
+                         ("check-nongaussian", kernel)):
+        out = tmp_path / "r.json"
+        rc = cli.main([command, "--input", write_json(tmp_path / "s.json", doc),
+                       "--output", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "", command
+        assert captured.err == "error: the standard form is beyond float64 range\n", command
+        assert not out.exists()
+    with pytest.raises(ValidationError, match="beyond float64 range"):
+        standard_form(validate_cm(1e160 * np.eye(4)))
+    for a in (1e200, np.float64(1e200)):
+        with pytest.raises(ValidationError, match="beyond float64 range"):
+            StandardForm(a, 1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("doc, location", [
+    ({"standard_form": {"a": 1e200, "b": 1, "c1": 0, "c2": 0}}, "/standard_form"),
+    ({"family": "squeezed_thermal", "a": 1e200, "b": 1, "c": 0}, ""),
+    ({"family": "ngpasg", "add": [1, 0], "sub": [0, 0],
+      "kernel": {"standard_form": {"a": 1e200, "b": 1, "c1": 0, "c2": 0}}},
+     "/kernel/standard_form"),
+])
+def test_parsed_standard_form_beyond_float64_range_keeps_its_location(doc, location):
+    with pytest.raises(SchemaError) as exc:
+        cli.parse_state(doc)
+    want = "invalid StandardForm: the standard form is beyond float64 range"
+    assert str(exc.value) == (f"{want} (at '{location}')" if location else want)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "expected a square matrix, got shape (2, 3)"),
+    ([1.0, 0.0, 0.0], "expected a square matrix, got shape (3,)"),
+    (np.eye(3).tolist(), "dimension 3 is not a positive even number"),
+], ids=["rectangular", "flat", "odd"])
+def test_cm_shape_is_checked_by_validate_cm(rows, message):
+    with pytest.raises(SchemaError) as exc:
+        cli.parse_state({"cm": rows})
+    assert str(exc.value) == f"invalid covariance matrix: {message} (at '/cm')"
+
+
+@pytest.mark.parametrize("doc", [
+    {"standard_form": {"a": 2.5, "b": 1.8, "c1": 1.1, "c2": -0.4}},
+    {"family": "squeezed_thermal", "a": 2, "b": 2, "c": 1.5},
+])
+def test_witness_optimize_checks_a_parsed_standard_form_once(tmp_path, capsys, monkeypatch,
+                                                             doc):
+    # parse_state validates the form; minimize_L takes it as it is, with no
+    # second validate_cm and no reduction
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, criteria, nongaussian, symplectic, witness):
+        for name in ("validate_cm", "standard_form"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert cli.main(["witness-optimize", "--input", write_json(tmp_path / "s.json", doc)]) == 0
+    assert calls == ["validate_cm"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"cm": (1e150 * np.eye(4)).tolist()},
+    {"standard_form": {"a": 1e100, "b": 1e100, "c1": 0, "c2": 0}},
+])
+def test_reports_hold_finite_numbers_only(tmp_path, capsys, doc):
+    # both states are in range, but their Simon margin, quartic in the entries,
+    # overflows to inf; JSON has no Infinity, so no report is written
+    out = tmp_path / "r.json"
+    rc = cli.main(["check-gaussian", "--input", write_json(tmp_path / "s.json", doc),
+                   "--output", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: the report holds a number beyond float64 range\n"
+    assert not out.exists()
+
+
+def test_reports_parse_as_strict_json(tmp_path, capsys):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    out = tmp_path / "r.json"
+    doc = {"family": "ngpasg", "add": [1, 0], "sub": [0, 1], "kernel": {"cm": C10}}
+    assert cli.main(["check-nongaussian", "--input", write_json(tmp_path / "s.json", doc),
+                     "--schedule", "10,100", "--output", str(out)]) == 0
+    report = json.loads(out.read_text(), parse_constant=refuse)
+    assert report["command"] == "check-nongaussian" and len(report["schedule"]) == 2
 
 
 def test_family_match_is_relative_in_both_commands(tmp_path, capsys):
@@ -461,7 +560,7 @@ def test_family_shortcut_is_dropped_where_the_mismatch_can_flip_it(tmp_path, cap
     ("check-gaussian", json.dumps({"cm": np.eye(4, dtype=bool).tolist()})),
     ("check-gaussian", '{"standard_form": {"a": 0, "b": 1e308, "c1": 0, "c2": 1}}'),
     ("witness-optimize", '{"standard_form": {"a": 1e308, "b": -1, "c1": 1e200, "c2": -1}}'),
-    ("witness-optimize", json.dumps({"cm": StandardForm(1e308, -1, 1e200, -1).to_cm().tolist()})),
+    ("witness-optimize", json.dumps({"cm": six_param_cm(1e308, 1e308, -1, -1, 1e200, -1).tolist()})),
 ], ids=["alpha-negative", "r-above-1", "alpha-infinite", "alpha-kernel-overflows",
         "alpha-grid-overflows", "n-negative", "n-not-array",
         "r-overflows", "r-null", "grid-not-object", "cm-symmetrize-overflows",

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
@@ -350,19 +352,56 @@ def dressed_cm(sf, rng):
     return CovarianceMatrix(entries=0.5 * (g + g.T))
 
 
+def exact(g):
+    """The float matrix g as exact rationals."""
+    return [[Fraction(v) for v in row] for row in g.tolist()]
+
+
+def exact_minor(m, i, j):
+    """The 2x2 minor of m at rows i, i + 1 and columns j, j + 1."""
+    return m[i][j] * m[i + 1][j + 1] - m[i][j + 1] * m[i + 1][j]
+
+
+def exact_det(m):
+    """The determinant of a square matrix of Fractions, by exact elimination."""
+    m, det = [list(row) for row in m], Fraction(1)
+    for k in range(len(m)):
+        p = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            m[k], m[p], det = m[p], m[k], -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return det
+
+
+def mpf(q):
+    """An exact rational as an mpmath number at the working precision."""
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
 def mp_standard_form(g):
-    """(a, b, c1, c2) of the float CM g, taken as exact, in 50-digit arithmetic.
+    """(a, b, c1, c2) of the float CM g, taken as exact.
 
     Uses the local invariants a^2 = det A, b^2 = det B, c1 c2 = -det C and
-    c1^2 + c2^2 = a b tr(A^-1 C B^-1 C^T), not the reduction itself.
+    c1^2 + c2^2 = tr(adj A C adj B C^T) / (a b), not the reduction itself.
+    Every determinant and the trace are exact rationals; mpmath takes only
+    the square roots, at 50 digits.
     """
+    m = exact(g)
+    adj_a = [[m[1][1], -m[0][1]], [-m[1][0], m[0][0]]]
+    adj_b = [[m[3][3], -m[2][3]], [-m[3][2], m[2][2]]]
+    c = [row[2:] for row in m[:2]]
+    trace = sum(adj_a[i][j] * c[j][k] * adj_b[k][l] * c[i][l]
+                for i in range(2) for j in range(2) for k in range(2) for l in range(2))
+    prod = -exact_minor(m, 0, 2)
     with mpmath.workdps(50):
-        m = mpmath.matrix(g.tolist())
-        blk_a, blk_b, blk_c = m[0:2, 0:2], m[2:4, 2:4], m[0:2, 2:4]
-        a, b = mpmath.sqrt(mpmath.det(blk_a)), mpmath.sqrt(mpmath.det(blk_b))
-        prod = -mpmath.det(blk_c)
-        f = a * b * sum((blk_a**-1 * blk_c * blk_b**-1 * blk_c.T)[i, i] for i in range(2))
-        plus, minus = mpmath.sqrt(f + 2 * prod), mpmath.sqrt(max(f - 2 * prod, 0))
+        a, b = mpmath.sqrt(mpf(exact_minor(m, 0, 0))), mpmath.sqrt(mpf(exact_minor(m, 2, 2)))
+        f = mpf(trace) / (a * b)
+        plus, minus = mpmath.sqrt(f + 2 * mpf(prod)), mpmath.sqrt(max(f - 2 * mpf(prod), 0))
         return [float(x) for x in (a, b, (plus + minus) / 2, (plus - minus) / 2)]
 
 
@@ -418,25 +457,23 @@ def test_standard_form_rejects_near_singular_block(block):
 
 def mp_two_mode_spectrum(g, transpose):
     """(nu_+, nu_-) of the float CM g, or of its partial transpose, taken as
-    exact, from the invariants det A + det B +- 2 det C and det gamma of the
-    matrix itself, in 60-digit arithmetic."""
-    def det2(i, j):
-        # mpmath.det pivots into an error on a 2x2 block with a zero column
-        return m[i, j] * m[i + 1, j + 1] - m[i, j + 1] * m[i + 1, j]
-
+    exact, from the invariants Delta = det A + det B +- 2 det C and det gamma
+    of the matrix itself. Both are exact rationals; mpmath takes only the
+    square roots, at 60 digits."""
+    m = exact(g)
+    delta = (exact_minor(m, 0, 0) + exact_minor(m, 2, 2)
+             + (-2 if transpose else 2) * exact_minor(m, 0, 2))
+    det = exact_det(m)
     with mpmath.workdps(60):
-        m = mpmath.matrix(g.tolist())
-        sign = -1 if transpose else 1
-        d = det2(0, 0) + det2(2, 2) + 2 * sign * det2(0, 2)
-        det = mpmath.det(m)
-        plus = (d + mpmath.sqrt(max(d * d - 4 * det, 0))) / 2
-        return mpmath.sqrt(plus), mpmath.sqrt(det / plus)
+        plus = (mpf(delta) + mpmath.sqrt(mpf(max(delta * delta - 4 * det, 0)))) / 2
+        return mpmath.sqrt(plus), mpmath.sqrt(mpf(det) / plus)
 
 
 def two_mode_spectrum_cases():
     """symmetric_squeezed_thermal(n, r) for n in {0, 0.5, 2} and r up to 5, whose
-    nu_+ = nu_-, seeded standard forms dressed by local symplectics, then the
-    squeezed vacua at r = 7 and 9."""
+    nu_+ = nu_-, seeded standard forms dressed by local symplectics, the squeezed
+    vacua at r = 7 and 9, then diag(1e200, 2e-200, 3, 3), whose entries span 400
+    decades (its spectra are 3 and about sqrt(2))."""
     cms = [validate_cm(families.symmetric_squeezed_thermal(n, r))
            for n in (0.0, 0.5, 2.0) for r in np.linspace(0.0, 5.0, 21)]
     rng = np.random.default_rng(29)
@@ -448,7 +485,8 @@ def two_mode_spectrum_cases():
         except NotPhysical:
             continue
         cms.append(dressed_cm(sf, rng))
-    return cms + [validate_cm(families.symmetric_squeezed_thermal(0.0, r)) for r in (7.0, 9.0)]
+    return cms + [validate_cm(families.symmetric_squeezed_thermal(0.0, r)) for r in (7.0, 9.0)] + [
+        validate_cm(np.diag([1e200, 2e-200, 3.0, 3.0]))]
 
 
 def assert_spectra_match_oracle(cm, rtol=1e-15):

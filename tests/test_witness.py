@@ -341,6 +341,27 @@ def test_minimize_L_is_schedule_minimum():
     assert wins > swapped > 0
 
 
+def test_minimize_L_of_a_standard_form_is_that_of_its_cm():
+    # the couplings of a standard form are fixed only up to local rotations, which
+    # swap c1 and c2 and flip both signs: all four give one L, within rounding of
+    # the L of the form's CM, whose reduction rounds c1 = Q + R
+    rng = np.random.default_rng(43)
+    checked = 0
+    while checked < 400:
+        a, b = rng.uniform(1.0, 4.0, size=2)
+        c1, c2 = rng.uniform(-1.0, 1.0, size=2) * np.sqrt(a * b)
+        try:
+            cm = validate_cm(StandardForm(a, b, c1, c2).to_cm())
+        except NotPhysical:
+            continue
+        checked += 1
+        want = witness.minimize_L(cm)[0]
+        values = {witness.minimize_L(StandardForm(a, b, u, v))[0]
+                  for u, v in ((c1, c2), (-c1, -c2), (c2, c1), (-c2, -c1))}
+        assert len(values) == 1
+        assert values.pop() == pytest.approx(want, rel=1e-12)
+
+
 def polyfit_minimize_L(state):
     """minimize_L by per-M1 np.polyfit, np.polyder and np.roots calls."""
     sf, sf_swapped = both_orders(state)
