@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import families, witness
+from . import families, symplectic, witness
 from .errors import ImpureLocalCM, NegativeC, SchemaError, ValidationError
 from .symplectic import PSD_ATOL, CovarianceMatrix, StandardForm, standard_form, validate_cm
 
@@ -142,10 +142,12 @@ def family_verdicts(sf):
 
 
 def simon_criterion(sf):
-    """Simon criterion for a two-mode standard form (PPT-equivalent)."""
-    a, b, c1, c2 = sf.a, sf.b, sf.c1, sf.c2
-    margin = (a * b - c1**2) * (a * b - c2**2) - 2 * abs(c1 * c2) - a**2 - b**2 + 1
-    return Verdict("simon", float(margin))
+    """Simon criterion for a two-mode standard form (PPT-equivalent): the exact margin
+    det gamma - det A - det B - 2 |det C| + 1 of its CM, rounded once (+-inf past float64)."""
+    det_a, det_b, det_c, det, k = symplectic.two_mode_invariants(sf.to_cm())
+    top = 4 * max(k, 0)  # det gamma is at scale 2^4k, the 2x2 dets at 2^2k
+    margin = (det << top - 4 * k) - (det_a + det_b + 2 * abs(det_c) << top - 2 * k) + (1 << top)
+    return Verdict("simon", symplectic.unscale(margin, 1, top))
 
 
 def symmetric_two_mode(a, c1, c2):

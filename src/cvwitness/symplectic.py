@@ -7,7 +7,7 @@ gamma + i*sigma >= 0 with sigma the block-diagonal symplectic form.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,10 +38,8 @@ def _symplectic_form(n):
 
 def six_param_cm(m1, m2, m3, m4, m5, m6):
     """Two-mode matrix diag(m1, m2, m3, m4) with x1-x2 coupling +m5 and p1-p2 coupling -m6."""
-    g = np.diag([m1, m2, m3, m4]).astype(float)
-    g[0, 2] = g[2, 0] = m5
-    g[1, 3] = g[3, 1] = -m6
-    return g
+    return np.array([m1, 0.0, m5, 0.0, 0.0, m2, 0.0, -m6,
+                     m5, 0.0, m3, 0.0, 0.0, -m6, 0.0, m4], float).reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -56,6 +54,11 @@ class CovarianceMatrix:
     @property
     def n(self):
         return self.entries.shape[0] // 2
+
+    @cached_property
+    def invariants(self):
+        """two_mode_invariants of the entries, computed once: nothing writes them."""
+        return two_mode_invariants(self.entries)
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,7 @@ def min_pt_symplectic_eigenvalue(cm, partition=None):
 _GUARD = 64
 
 
-def _two_mode_invariants(entries):
+def two_mode_invariants(entries):
     """det A, det B, det C and det gamma of a two-mode CM as exact ints at scale
     2^K, and K. 2^-K is the least place value of the ten upper-triangle entries'
     53-bit mantissas, so scaling the CM by a power of two leaves the ints alone.
@@ -227,14 +230,21 @@ def _two_mode_invariants(entries):
     return det_a, det_b, det_c, det, k
 
 
+def unscale(num, den, k):
+    """num / (den 2^k) for ints num and den > 0, rounded once; +-inf beyond float64 range."""
+    try:
+        return num / (den << k) if k >= 0 else (num << -k) / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
 def _root(num, den, k):
     """sqrt(num / den) / 2^k for ints num >= 0 and den > 0, rounded once."""
     t = max(0, (den.bit_length() - num.bit_length()) // 2 + 54 + _GUARD)
-    r, k = math.isqrt((num << 2 * t) // den), k + t
-    try:
-        return r / (1 << k) if k >= 0 else float(r << -k)
-    except OverflowError:
-        raise ValidationError("a symplectic eigenvalue is beyond float64 range") from None
+    root = unscale(math.isqrt((num << 2 * t) // den), 1, k + t)
+    if root == math.inf:
+        raise ValidationError("a symplectic eigenvalue is beyond float64 range")
+    return root
 
 
 def _two_mode_spectrum(cm, transpose):
@@ -244,7 +254,7 @@ def _two_mode_spectrum(cm, transpose):
     the exact invariants. nu_+^2 = (Delta + sqrt(Delta^2 - 4 det gamma)) / 2
     takes an integer square root with _GUARD guard bits, and
     nu_-^2 = det gamma / nu_+^2 cancels nowhere."""
-    det_a, det_b, det_c, det, k = _two_mode_invariants(cm.entries)
+    det_a, det_b, det_c, det, k = cm.invariants
     delta = det_a + det_b + (-2 if transpose else 2) * det_c
     plus = (delta << _GUARD) + math.isqrt(max(delta * delta - 4 * det, 0) << 2 * _GUARD)
     nu_plus = _root(plus, 1 << _GUARD + 1, k)
@@ -254,45 +264,31 @@ def _two_mode_spectrum(cm, transpose):
     return nu_plus, min(_root(max(det, 0) << _GUARD + 1, plus, k), nu_plus) if plus else 0.0
 
 
-def _reduce_block(p, q, r):
-    """sqrt(det B) and the entries (s, t, u) of S = (B / sqrt(det B))^(-1/2).
-
-    For B = [[p, q], [q, r]], S = [[s, t], [t, u]] is the local symplectic
-    with S @ B @ S = sqrt(det B) * I; a det-1 B has B^(-1/2) = (adj B + I) /
-    sqrt(tr B + 2).
-    """
-    d = p * r - q * q
-    if d <= 1e-12 or p <= 0:
-        raise DegenerateBlock("2x2 diagonal block is singular or not positive definite")
-    root = math.sqrt(d)
-    k = 1.0 / math.sqrt((p + r) / root + 2.0)
-    return root, (r / root + 1.0) * k, -q / root * k, (p / root + 1.0) * k
-
-
 def standard_form(cm):
-    """Reduce a two-mode CM to its standard form by local symplectics.
-
-    Each diagonal block is brought to a multiple of the identity in closed
-    form, which leaves the coupling C' = S_A C S_B. Rotations on both sides
-    make C' = diag(c1, -c2), and its signed singular values come from the
-    two rotation-invariant parts of C', with no SVD: the part commuting with
-    rotations has modulus (c1 - c2) / 2, the part anticommuting with them
-    (c1 + c2) / 2, so c1 >= |c2|.
-    """
+    """The standard form (a, b, c1, c2), c1 >= |c2|, of a two-mode CM from its exact
+    invariants: a^2 = det A, b^2 = det B, c1 c2 = -det C and, with P = det A det B and
+    N = P + det C^2 - det gamma = a b (c1^2 + c2^2), c1^2 = (N + sqrt(D)) / (2 sqrt(P)),
+    where the int D = N^2 - 4 det C^2 P is P (c1^2 - c2^2)^2: nothing cancels, and
+    each output is rounded once. Raises DegenerateBlock for a block with first
+    entry <= 0 or det <= 1e-12, exactly."""
     if cm.n != 2:
         raise ValueError("standard form is defined for two-mode states")
-    (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (_, _, _, g33) = (
-        cm.entries.tolist())
-    a, as_, at, au = _reduce_block(g00, g01, g11)
-    b, bs, bt, bu = _reduce_block(g22, g23, g33)
-    # C' = (S_A C) S_B
-    x0, x1 = as_ * g02 + at * g12, as_ * g03 + at * g13
-    y0, y1 = at * g02 + au * g12, at * g03 + au * g13
-    m00, m01 = x0 * bs + x1 * bt, x0 * bt + x1 * bu
-    m10, m11 = y0 * bs + y1 * bt, y0 * bt + y1 * bu
-    q = math.hypot(0.5 * (m00 + m11), 0.5 * (m10 - m01))
-    r = math.hypot(0.5 * (m00 - m11), 0.5 * (m10 + m01))
-    return StandardForm(a=a, b=b, c1=q + r, c2=r - q)
+    det_a, det_b, det_c, det, k = cm.invariants
+    tiny, den = (1e-12).as_integer_ratio()  # det / 4^k <= tiny / den, in ints
+    if (min(cm.entries[0, 0], cm.entries[2, 2]) <= 0
+            or min(det_a, det_b) * den << max(-2 * k, 0) <= tiny << max(2 * k, 0)):
+        raise DegenerateBlock("2x2 diagonal block is singular or not positive definite")
+    # a, b at scale 2^(k + t), and c1^2 = sq / root at scale 4^k
+    t = max(0, 54 + _GUARD - min(det_a.bit_length(), det_b.bit_length()) // 2)
+    ra, rb = math.isqrt(det_a << 2 * t), math.isqrt(det_b << 2 * t)
+    prod = det_a * det_b
+    n = prod + det_c * det_c - det
+    sq, root = (n << 2 * t) + math.isqrt(n * n - 4 * det_c * det_c * prod << 4 * t), 2 * ra * rb
+    u = max(0, (root.bit_length() - sq.bit_length()) // 2 + 54 + _GUARD)
+    r = math.isqrt((sq << 2 * u) // root)  # c1 at scale 2^(k + u)
+    c1 = unscale(r, 1, k + u)
+    c2 = max(-c1, min(unscale(-det_c << u, r, k), c1)) if r else 0.0
+    return StandardForm(a=unscale(ra, 1, k + t), b=unscale(rb, 1, k + t), c1=c1, c2=c2)
 
 
 def _ccm_matrix(entries):

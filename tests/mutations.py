@@ -84,13 +84,15 @@ MUTATIONS = [
                "tests/test_cli.py::test_family_shortcut_is_dropped_where_the_mismatch_can_flip_it"),
     ),
     # the four properties of tests/test_properties.py, one mutation each.
-    # Local symplectic invariance: standard_form drops the off-diagonal entry of
-    # S_A, which is 0 on an undressed form, when it forms S_A C
+    # Local symplectic invariance: standard_form takes a from the first entry of
+    # A, which is sqrt(det A) on an undressed form only
     Mutation(
         id="property-local-symplectic",
         file="src/cvwitness/symplectic.py",
-        old="    x0, x1 = as_ * g02 + at * g12, as_ * g03 + at * g13\n",
-        new="    x0, x1 = as_ * g02, as_ * g03\n",
+        old=("    return StandardForm(a=unscale(ra, 1, k + t), b=unscale(rb, 1, k + t),"
+             " c1=c1, c2=c2)\n"),
+        new=("    return StandardForm(a=float(cm.entries[0, 0]), b=unscale(rb, 1, k + t),"
+             " c1=c1, c2=c2)\n"),
         tests=("tests/test_properties.py::test_invariant_under_local_symplectic_maps",),
     ),
     # party swap: minimize_L takes the schedule in the given party order only
@@ -127,6 +129,33 @@ MUTATIONS = [
              '            raise ValidationError("the standard form is beyond float64 range")\n'),
         new="",
         tests=("tests/test_cli.py::test_one_answer_per_state_beyond_float64_range",),
+    ),
+    # the Simon margin as the quartic in float on the standard form: at a = 2e14
+    # it cancels to -3.3e27 where the exact margin is 0
+    Mutation(
+        id="simon-margin-in-float",
+        file="src/cvwitness/criteria.py",
+        old=("    det_a, det_b, det_c, det, k = symplectic.two_mode_invariants(sf.to_cm())\n"
+             "    top = 4 * max(k, 0)  # det gamma is at scale 2^4k, the 2x2 dets at 2^2k\n"
+             "    margin = (det << top - 4 * k) - (det_a + det_b + 2 * abs(det_c) << top - 2 * k)"
+             " + (1 << top)\n"
+             '    return Verdict("simon", symplectic.unscale(margin, 1, top))\n'),
+        new=("    a, b, c1, c2 = sf.a, sf.b, sf.c1, sf.c2\n"
+             "    margin = (a * b - c1**2) * (a * b - c2**2) - 2 * abs(c1 * c2) - a**2 - b**2 + 1\n"
+             '    return Verdict("simon", float(margin))\n'),
+        tests=("tests/test_criteria.py::test_simon_margin_is_exact_at_the_boundary[1e-16]",
+               "tests/test_criteria.py::test_simon_margin_is_exact_at_the_boundary[-1e-15]",
+               "tests/test_cli.py::test_check_gaussian_reads_the_boundary_exactly[1e-16]"),
+    ),
+    # standard_form without its refusal of a block with a diagonal entry <= 0:
+    # -2 I has the determinant of 2 I and reduces as if it were positive
+    Mutation(
+        id="standard-form-diagonal-check-off",
+        file="src/cvwitness/symplectic.py",
+        old="    if (min(cm.entries[0, 0], cm.entries[2, 2]) <= 0\n",
+        new="    if (False\n",
+        tests=("tests/test_symplectic.py::test_standard_form_rejects_negative_definite_block[0]",
+               "tests/test_symplectic.py::test_standard_form_rejects_negative_definite_block[2]"),
     ),
     # minimize_L takes a standard form's couplings as given, not in the frame
     # c1 >= |c2|: a form with negative couplings gets a larger L than its CM

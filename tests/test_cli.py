@@ -17,6 +17,8 @@ from cvwitness.nongaussian import NGPASGSpec
 from cvwitness.symplectic import (CovarianceMatrix, StandardForm, six_param_cm, standard_form,
                                   validate_cm)
 
+from test_criteria import boundary_cm
+
 
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
@@ -99,6 +101,16 @@ def test_check_gaussian_boundary_report(tmp_path, capsys):
     report = json.loads(Path(out).read_text())
     ids = [c["criterion_id"] for c in report["criteria"]]
     assert "simon" in ids and "squeezed_thermal" in ids
+
+
+@pytest.mark.parametrize("delta", [1e-16, -1e-16, 1e-15, -1e-15])
+def test_check_gaussian_reads_the_boundary_exactly(tmp_path, capsys, delta):
+    inp = write_json(tmp_path / "s.json", {"cm": boundary_cm(delta).entries.tolist()})
+    out = tmp_path / "r.json"
+    assert cli.main(["check-gaussian", "--input", inp, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == "simon margin 0 boundary\n"
+    (simon,) = json.loads(out.read_text())["criteria"]
+    assert simon == {"classification": "boundary", "criterion_id": "simon", "margin": 0.0}
 
 
 def test_check_gaussian_cm_round_trip(tmp_path):
@@ -240,7 +252,7 @@ def test_trace_report_checksums(tmp_path, capsys):
         ({"family": "ngpasg", "add": [2, 1], "sub": [1, 2],
           "kernel": {"cm": [[3.0, 0.4, 1.2, 0.1], [0.4, 2.5, -0.3, -0.9],
                             [1.2, -0.3, 2.8, 0.2], [0.1, -0.9, 0.2, 3.1]]}},
-         "3fc702b627daa0fb305853caca407ae71094b44428bb6e7f8afee305dcc7d2c8"),
+         "dc6205b86fe11a3ce231b133a822cb6e2c7ff1b6db804798f38408beab484708"),
         ({"family": "ngpasg", "add": [2, 2], "sub": [2, 2],
           "kernel": {"family": "squeezed_thermal", "a": 3.0, "b": 2.0, "c": 1.5}},
          "36ff23da8a5180026a11b8e75dbe68f9da162a470da818ca4b5088a352f749d5"),
@@ -263,7 +275,7 @@ C10 = [[3.0, 0.4, 1.2, 0.1], [0.4, 2.5, -0.3, -0.9], [1.2, -0.3, 2.8, 0.2], [0.1
     ("check-gaussian", {"family": "squeezed_thermal", "a": 2, "b": 2, "c": 1.5},
      "13c25c9f0d22b8b2f82d3d785c331f12531af8885682a3653cf7610ca38fa328"),
     ("check-gaussian", {"standard_form": {"a": 2.5, "b": 1.8, "c1": 1.1, "c2": -0.4}},
-     "7c6d629a7dc8039d0977d9d59e4965da01e1f2eb0325dcc02515f88679a91c7c"),
+     "f9e690f0d2e0ea184e6b7ca5742075ceb38118b1da0a6665042af67d6c6bcce0"),
     ("check-gaussian", {"family": "werner_wolf_2x2", "A": 2, "B": 1, "C": 2, "D": 4, "E": 1,
                         "F": 1},
      "cfbc354eb4ec1eeefa5cdf39e4ac7613a919eeeb7970313793a9195f8c67a244"),
@@ -277,7 +289,7 @@ C10 = [[3.0, 0.4, 1.2, 0.1], [0.4, 2.5, -0.3, -0.9], [1.2, -0.3, 2.8, 0.2], [0.1
     ("witness-optimize", {"family": "squeezed_thermal", "a": 2, "b": 2, "c": 1.5},
      "a41a4bc3bb4b41396f81d21b3f90ab61f57c99476ea0ea1a1594732522e5d8de"),
     ("witness-optimize", {"cm": C10},
-     "745f1b98372e571771647999a9aaf924ac94fd109f39acb6d3e54dc9e6a40fb4"),
+     "9cd9681210c93eb98361e17f02e688f5a58f081db0b8156ec392128a80acf559"),
     ("check-nongaussian", {"family": "ngpasg", "add": [1, 1], "sub": [0, 0],
                            "kernel": {"family": "squeezed_thermal", "a": 2, "b": 2, "c": 1.2}},
      "ea1aae9dad7540d61aacb32fd0c146a6e48dc2dcbac380701c46ac5e841cfc6a"),

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,8 @@ from cvwitness.symplectic import (
     standard_form,
     validate_cm,
 )
+
+from test_symplectic import dressed_cm, exact, exact_det, exact_minor
 
 
 def test_simon_vacuum_boundary():
@@ -98,6 +101,49 @@ def exact_simon(sf):
     """The Simon margin of a float standard form, in exact rational arithmetic."""
     a, b, c1, c2 = (Fraction(x) for x in (sf.a, sf.b, sf.c1, sf.c2))
     return (a * b - c1 * c1) * (a * b - c2 * c2) - 2 * abs(c1 * c2) - a * a - b * b + 1
+
+
+def exact_cm_simon(g):
+    """det gamma - det A - det B - 2 |det C| + 1 of the float CM g, in exact rationals."""
+    m = exact(g)
+    return (exact_det(m) - exact_minor(m, 0, 0) - exact_minor(m, 2, 2)
+            - 2 * abs(exact_minor(m, 0, 2)) + 1)
+
+
+def boundary_cm(delta):
+    """symmetric_squeezed_thermal(n, r) at n = 1e7 and e^(2r) = (2n + 1)(1 + delta),
+    whose float CM has Simon margin exactly 0."""
+    n = 1e7
+    r = 0.5 * math.log((2 * n + 1) * (1 + delta))
+    return validate_cm(families.symmetric_squeezed_thermal(n, r))
+
+
+@pytest.mark.parametrize("delta", [1e-16, -1e-16, 1e-15, -1e-15])
+def test_simon_margin_is_exact_at_the_boundary(delta):
+    # the quartic in float on the standard form read -3.3e27, "entangled"
+    cm = boundary_cm(delta)
+    assert exact_cm_simon(cm.entries) == 0
+    (simon,) = criteria.decide(cm)
+    assert simon.margin == 0.0 and simon.classification is Classification.BOUNDARY
+
+
+def near_boundary_dressed_cms(count=300):
+    """Seeded squeezed thermal standard forms with c at 1e-8 relative either side of
+    sqrt((a - 1)(b - 1)), dressed with local squeezing |s| <= 6 per mode."""
+    rng = np.random.default_rng(41)
+    cms = []
+    for _ in range(count):
+        a, b = rng.uniform(1.5, 4.0, size=2)
+        c = np.sqrt((a - 1.0) * (b - 1.0)) * (1.0 + rng.choice([-1.0, 1.0]) * 1e-8)
+        cms.append(dressed_cm(StandardForm(a, b, c, c), rng, squeeze=6.0))
+    return cms
+
+
+def test_simon_words_match_the_exact_margin_under_strong_squeezing():
+    # the float quartic on a float reduction gave 11 of these the wrong word
+    for cm in near_boundary_dressed_cms():
+        want = Verdict("simon", float(exact_cm_simon(cm.entries))).classification
+        assert criteria.decide(cm)[0].classification is want
 
 
 def test_family_verdicts_cannot_flip_the_word_at_scale():

@@ -35,9 +35,10 @@ def symplectic_2x2(s, t1, t2):
     return rot(t1) @ np.diag([np.exp(s), np.exp(-s)]) @ rot(t2)
 
 
-def random_symplectic_2x2(rng):
-    """Random 2x2 symplectic (det 1): rotation * squeeze * rotation."""
-    return symplectic_2x2(rng.uniform(-0.5, 0.5), rng.uniform(0, np.pi), rng.uniform(0, np.pi))
+def random_symplectic_2x2(rng, squeeze=0.5):
+    """Random 2x2 symplectic (det 1): rotation * squeeze * rotation, |s| <= squeeze."""
+    return symplectic_2x2(rng.uniform(-squeeze, squeeze), rng.uniform(0, np.pi),
+                          rng.uniform(0, np.pi))
 
 
 def test_symplectic_form_structure():
@@ -344,10 +345,12 @@ def test_gaussian_taylor_single_mode_hermite():
     assert np.allclose(table, want, rtol=1e-14, atol=0.0)
 
 
-def dressed_cm(sf, rng):
-    """The CM of a standard form under a random local symplectic S_A (+) S_B."""
+def dressed_cm(sf, rng, squeeze=0.5):
+    """The CM of a standard form under a random local symplectic S_A (+) S_B,
+    each of squeezing |s| <= squeeze."""
     s = np.zeros((4, 4))
-    s[:2, :2], s[2:, 2:] = random_symplectic_2x2(rng), random_symplectic_2x2(rng)
+    s[:2, :2] = random_symplectic_2x2(rng, squeeze)
+    s[2:, 2:] = random_symplectic_2x2(rng, squeeze)
     g = s @ sf.to_cm() @ s.T
     return CovarianceMatrix(entries=0.5 * (g + g.T))
 
@@ -387,7 +390,8 @@ def mp_standard_form(g):
     """(a, b, c1, c2) of the float CM g, taken as exact.
 
     Uses the local invariants a^2 = det A, b^2 = det B, c1 c2 = -det C and
-    c1^2 + c2^2 = tr(adj A C adj B C^T) / (a b), not the reduction itself.
+    c1^2 + c2^2 = tr(adj A C adj B C^T) / (a b), not det gamma, which the
+    package's standard_form reads.
     Every determinant and the trace are exact rationals; mpmath takes only
     the square roots, at 50 digits.
     """
@@ -453,6 +457,40 @@ def test_standard_form_rejects_near_singular_block(block):
     g[block:block + 2, block:block + 2] = [[1.0, 1.0], [1.0, 1.0 + 1e-13]]
     with pytest.raises(DegenerateBlock):
         standard_form(CovarianceMatrix(entries=g))
+
+
+@pytest.mark.parametrize("block", [0, 2])
+def test_standard_form_rejects_negative_definite_block(block):
+    # -2 I has the determinant of 2 I: only its diagonal tells them apart
+    g = StandardForm(2.0, 2.0, 0.5, 0.5).to_cm()
+    g[block:block + 2, block:block + 2] = -2.0 * np.eye(2)
+    with pytest.raises(DegenerateBlock):
+        standard_form(CovarianceMatrix(entries=g))
+
+
+def strongly_squeezed_cases():
+    """Seeded standard forms dressed with local squeezing |s| <= 4: two-mode
+    squeezed vacua up to r = 3 (c1 = c2), c2 = 0, C = 0 and random couplings
+    of either sign."""
+    rng = np.random.default_rng(37)
+    forms = [StandardForm(np.cosh(2 * r), np.cosh(2 * r), np.sinh(2 * r), np.sinh(2 * r))
+             for r in np.linspace(0.0, 3.0, 13)]
+    for _ in range(20):
+        a, b = rng.uniform(1.0, 4.0, size=2)
+        c = rng.uniform(-1.0, 1.0, size=2) * np.sqrt(a * b)
+        forms += [StandardForm(a, b, c[0], 0.0), StandardForm(a, b, 0.0, 0.0),
+                  StandardForm(a, b, c[0], c[1]), StandardForm(a, b, c[0], -c[0])]
+    return [dressed_cm(sf, rng, squeeze=4.0) for sf in forms for _ in range(3)]
+
+
+def test_standard_form_of_strongly_squeezed_cms_against_50_digit_oracle():
+    # a float reduction of these CMs through S_A C S_B was up to 1.3e-10 off;
+    # each output rounded once from the exact invariants is within an ulp
+    for cm in strongly_squeezed_cases():
+        sf = standard_form(cm)
+        assert sf.c1 >= abs(sf.c2)
+        err = np.subtract([sf.a, sf.b, sf.c1, sf.c2], mp_standard_form(cm.entries))
+        assert np.max(np.abs(err)) <= 1e-15 * max(sf.a, sf.b, 1.0)
 
 
 def mp_two_mode_spectrum(g, transpose):
@@ -539,7 +577,7 @@ def test_two_mode_spectra_where_rounding_makes_det_gamma_negative():
     a, c = np.cosh(18.06), np.sinh(18.06)
     cm = validate_cm(symplectic.six_param_cm(a, a, a, a, c - 3 * np.spacing(c),
                                              c + 3 * np.spacing(c)))
-    assert symplectic._two_mode_invariants(cm.entries)[3] < 0
+    assert symplectic.two_mode_invariants(cm.entries)[3] < 0
     assert symplectic_eigenvalues(cm)[1] == 0.0
     assert min_pt_symplectic_eigenvalue(cm) == 0.0
 
