@@ -119,26 +119,16 @@ def family_match(u, v):
 
 
 def family_verdicts(sf):
-    """The closed forms that decide a standard form: squeezed thermal when c1 ~ c2,
-    then symmetric when a ~ b. Each is kept on an exact match, or where the mismatch
-    cannot flip its word: at its family point, (a, b, c1, c1) or (a, a, c1, c2), the
-    Simon margin S = f1 f2, taken as the product of its factors so nothing cancels,
-    is at least twice its first-order change |c2 - c1| |dS/dc2| or |b - a| |dS/db|."""
+    """The Simon factors that decide a standard form: squeezed thermal if c1 ~ c2, then
+    symmetric if a ~ b, each kept unless its sign is strictly opposite to the exact margin's."""
     a, b, c1, c2 = sf.a, sf.b, sf.c1, sf.c2
     out = []
     if family_match(c1, c2):
-        # f1, f2 = (a -+ 1)(b -+ 1) - c1^2, and dS/dc2 = -c1 (f1 + f2)
-        f1, f2 = (a - 1.0) * (b - 1.0) - c1 * c1, (a + 1.0) * (b + 1.0) - c1 * c1
-        if c1 == c2 or abs((c2 - c1) * c1 * (f1 + f2)) <= 0.5 * abs(f1 * f2):
-            out.append(squeezed_thermal(a, b, c1))
+        out.append(squeezed_thermal(a, b, c1))
     if family_match(a, b):
-        # f1, f2 = (a -+ |c1|)(a -+ |c2|) - 1, and dS/db = a (2 a^2 - c1^2 - c2^2 - 2)
-        p, q = abs(c1), abs(c2)
-        f1, f2 = (a - p) * (a - q) - 1.0, (a + p) * (a + q) - 1.0
-        slope = a * ((a - p) * (a + p) + (a - q) * (a + q) - 2.0)
-        if a == b or abs((b - a) * slope) <= 0.5 * abs(f1 * f2):
-            out.append(symmetric_two_mode(a, c1, c2))
-    return out
+        out.append(symmetric_two_mode(a, c1, c2))
+    simon = simon_criterion(sf).margin
+    return [v for v in out if not (v.margin < 0 < simon or simon < 0 < v.margin)]
 
 
 def simon_criterion(sf):
@@ -151,8 +141,8 @@ def simon_criterion(sf):
 
 
 def symmetric_two_mode(a, c1, c2):
-    """(a - c1)(a - c2) >= 1 for the symmetric two-mode Gaussian family."""
-    return Verdict("symmetric_two_mode", float((a - c1) * (a - c2) - 1.0))
+    """(a - |c1|)(a - |c2|) >= 1 for the symmetric two-mode family, couplings of any sign."""
+    return Verdict("symmetric_two_mode", float((a - abs(c1)) * (a - abs(c2)) - 1.0))
 
 
 def squeezed_thermal(a, b, c):

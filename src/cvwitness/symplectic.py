@@ -60,6 +60,29 @@ class CovarianceMatrix:
         """two_mode_invariants of the entries, computed once: nothing writes them."""
         return two_mode_invariants(self.entries)
 
+    @cached_property
+    def standard_form(self):
+        """symplectic.standard_form(self), computed once: nothing writes the entries."""
+        if self.n != 2:
+            raise ValueError("standard form is defined for two-mode states")
+        det_a, det_b, det_c, det, k = self.invariants
+        tiny, den = (1e-12).as_integer_ratio()  # det / 4^k <= tiny / den, in ints
+        if (min(self.entries[0, 0], self.entries[2, 2]) <= 0
+                or min(det_a, det_b) * den << max(-2 * k, 0) <= tiny << max(2 * k, 0)):
+            raise DegenerateBlock("2x2 diagonal block is singular or not positive definite")
+        # a, b at scale 2^(k + t), and c1^2 = sq / root at scale 4^k
+        t = max(0, 54 + _GUARD - min(det_a.bit_length(), det_b.bit_length()) // 2)
+        ra, rb = math.isqrt(det_a << 2 * t), math.isqrt(det_b << 2 * t)
+        prod = det_a * det_b
+        n = prod + det_c * det_c - det
+        sq = (n << 2 * t) + math.isqrt(n * n - 4 * det_c * det_c * prod << 4 * t)
+        root = 2 * ra * rb
+        u = max(0, (root.bit_length() - sq.bit_length()) // 2 + 54 + _GUARD)
+        r = math.isqrt((sq << 2 * u) // root)  # c1 at scale 2^(k + u)
+        c1 = unscale(r, 1, k + u)
+        c2 = max(-c1, min(unscale(-det_c << u, r, k), c1)) if r else 0.0
+        return StandardForm(a=unscale(ra, 1, k + t), b=unscale(rb, 1, k + t), c1=c1, c2=c2)
+
 
 @dataclass(frozen=True)
 class ModePartition:
@@ -270,25 +293,9 @@ def standard_form(cm):
     N = P + det C^2 - det gamma = a b (c1^2 + c2^2), c1^2 = (N + sqrt(D)) / (2 sqrt(P)),
     where the int D = N^2 - 4 det C^2 P is P (c1^2 - c2^2)^2: nothing cancels, and
     each output is rounded once. Raises DegenerateBlock for a block with first
-    entry <= 0 or det <= 1e-12, exactly."""
-    if cm.n != 2:
-        raise ValueError("standard form is defined for two-mode states")
-    det_a, det_b, det_c, det, k = cm.invariants
-    tiny, den = (1e-12).as_integer_ratio()  # det / 4^k <= tiny / den, in ints
-    if (min(cm.entries[0, 0], cm.entries[2, 2]) <= 0
-            or min(det_a, det_b) * den << max(-2 * k, 0) <= tiny << max(2 * k, 0)):
-        raise DegenerateBlock("2x2 diagonal block is singular or not positive definite")
-    # a, b at scale 2^(k + t), and c1^2 = sq / root at scale 4^k
-    t = max(0, 54 + _GUARD - min(det_a.bit_length(), det_b.bit_length()) // 2)
-    ra, rb = math.isqrt(det_a << 2 * t), math.isqrt(det_b << 2 * t)
-    prod = det_a * det_b
-    n = prod + det_c * det_c - det
-    sq, root = (n << 2 * t) + math.isqrt(n * n - 4 * det_c * det_c * prod << 4 * t), 2 * ra * rb
-    u = max(0, (root.bit_length() - sq.bit_length()) // 2 + 54 + _GUARD)
-    r = math.isqrt((sq << 2 * u) // root)  # c1 at scale 2^(k + u)
-    c1 = unscale(r, 1, k + u)
-    c2 = max(-c1, min(unscale(-det_c << u, r, k), c1)) if r else 0.0
-    return StandardForm(a=unscale(ra, 1, k + t), b=unscale(rb, 1, k + t), c1=c1, c2=c2)
+    entry <= 0 or det <= 1e-12, exactly. Computed once per CovarianceMatrix, as its
+    standard_form; an error is not cached, so each call raises it again."""
+    return cm.standard_form
 
 
 def _ccm_matrix(entries):

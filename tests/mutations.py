@@ -73,13 +73,14 @@ MUTATIONS = [
         new="    margin = (a * c - e * e) * (b * d - f * f) - abs(e * f) - c * d - a * b + 1\n",
         tests=("tests/test_acceptance.py::test_acceptance_10_werner_wolf_closed_form_vs_search",),
     ),
-    # the symmetric family guard off: every a ~ b candidate keeps its closed
-    # form, whose word the mismatch b - a can flip at large a
+    # the family sign filter off: every candidate keeps its closed form, whose
+    # word the mismatch b - a can flip at large a
     Mutation(
         id="family-guard-off",
         file="src/cvwitness/criteria.py",
-        old="        if a == b or abs((b - a) * slope) <= 0.5 * abs(f1 * f2):\n",
-        new="        if True:\n",
+        old=("    return [v for v in out"
+             " if not (v.margin < 0 < simon or simon < 0 < v.margin)]\n"),
+        new="    return out\n",
         tests=("tests/test_criteria.py::test_family_verdicts_cannot_flip_the_word_at_scale",
                "tests/test_cli.py::test_family_shortcut_is_dropped_where_the_mismatch_can_flip_it"),
     ),
@@ -89,9 +90,9 @@ MUTATIONS = [
     Mutation(
         id="property-local-symplectic",
         file="src/cvwitness/symplectic.py",
-        old=("    return StandardForm(a=unscale(ra, 1, k + t), b=unscale(rb, 1, k + t),"
+        old=("        return StandardForm(a=unscale(ra, 1, k + t), b=unscale(rb, 1, k + t),"
              " c1=c1, c2=c2)\n"),
-        new=("    return StandardForm(a=float(cm.entries[0, 0]), b=unscale(rb, 1, k + t),"
+        new=("        return StandardForm(a=float(self.entries[0, 0]), b=unscale(rb, 1, k + t),"
              " c1=c1, c2=c2)\n"),
         tests=("tests/test_properties.py::test_invariant_under_local_symplectic_maps",),
     ),
@@ -112,13 +113,18 @@ MUTATIONS = [
         new="    c = c1 + c2\n",
         tests=("tests/test_properties.py::test_noise_keeps_separable_states_separable",),
     ),
-    # Simon agreement: the symmetric closed form with the sign of c2 flipped
+    # Simon agreement: the symmetric closed form with the sign of c2 flipped. The
+    # family sign filter drops the wrong factor where its word differs, so the
+    # property test passes by construction; the factor test catches it
     Mutation(
         id="property-simon-agreement",
         file="src/cvwitness/criteria.py",
-        old='    return Verdict("symmetric_two_mode", float((a - c1) * (a - c2) - 1.0))\n',
-        new='    return Verdict("symmetric_two_mode", float((a - c1) * (a + c2) - 1.0))\n',
-        tests=("tests/test_properties.py::test_kernel_verdict_agrees_with_simon_on_closed_form_families",),
+        old=('    return Verdict("symmetric_two_mode",'
+             ' float((a - abs(c1)) * (a - abs(c2)) - 1.0))\n'),
+        new=('    return Verdict("symmetric_two_mode",'
+             ' float((a - abs(c1)) * (a + abs(c2)) - 1.0))\n'),
+        tests=("tests/test_criteria.py::"
+               "test_family_closed_forms_are_simon_factors_in_every_coupling_frame[symmetric]",),
     ),
     # the float64-range rule of a standard form lifted from its type: each
     # command meets 1e160 I4 downstream, with its own answer
@@ -152,8 +158,8 @@ MUTATIONS = [
     Mutation(
         id="standard-form-diagonal-check-off",
         file="src/cvwitness/symplectic.py",
-        old="    if (min(cm.entries[0, 0], cm.entries[2, 2]) <= 0\n",
-        new="    if (False\n",
+        old="        if (min(self.entries[0, 0], self.entries[2, 2]) <= 0\n",
+        new="        if (False\n",
         tests=("tests/test_symplectic.py::test_standard_form_rejects_negative_definite_block[0]",
                "tests/test_symplectic.py::test_standard_form_rejects_negative_definite_block[2]"),
     ),

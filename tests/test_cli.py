@@ -549,6 +549,16 @@ def test_family_shortcut_is_dropped_where_the_mismatch_can_flip_it(tmp_path, cap
         assert "symmetric_two_mode" not in out and "entangled" not in out
 
 
+def test_symmetric_closed_form_reads_coupling_magnitudes(tmp_path, capsys):
+    # c1 = c2 = -1.2 is c1 = c2 = 1.2 after a local phase flip; the closed form
+    # read (a + 1.2)^2 - 1 = 9.24, "satisfied", under Simon's "entangled"
+    doc = {"family": "symmetric_two_mode", "a": 2, "c1": -1.2, "c2": -1.2}
+    assert cli.main(["check-gaussian", "--input", write_json(tmp_path / "s.json", doc)]) == 0
+    out = capsys.readouterr().out
+    assert "simon margin -3.3264 entangled" in out
+    assert "symmetric_two_mode margin -0.36 entangled" in out
+
+
 @pytest.mark.parametrize("command, text", [
     ("kernel-spectrum", '{"alpha": -1, "r": 0.5}'),
     ("kernel-spectrum", '{"alpha": 1, "r": 1.5}'),

@@ -14,7 +14,13 @@ from cvwitness.criteria import (
     Verdict,
     WernerWolf2x2Params,
 )
-from cvwitness.errors import ImpureLocalCM, NegativeC, SchemaError, ValidationError
+from cvwitness.errors import (
+    ImpureLocalCM,
+    NegativeC,
+    NotPhysical,
+    SchemaError,
+    ValidationError,
+)
 from cvwitness.symplectic import (
     ModePartition,
     StandardForm,
@@ -164,6 +170,47 @@ def test_family_verdicts_cannot_flip_the_word_at_scale():
                 assert not any(v.entangled for v in closed), (sf, closed)
     # the exact c1 = c2 match keeps the squeezed-thermal form on every state
     assert kept >= 2000
+
+
+def family_forms(rng, family, count=100):
+    """Seeded physical squeezed thermal (c1 = c2 = c) or symmetric (a = b) standard
+    forms with c1, c2 >= 0, their closed-form factor at least 1e-2 from 0."""
+    forms = []
+    while len(forms) < count:
+        a, b, c1, c2 = rng.uniform([1.0, 1.0, 0.0, 0.0], [4.0, 4.0, 3.0, 3.0])
+        if family == "squeezed_thermal":
+            c2 = c1
+            factor = (a - 1) * (b - 1) - c1 * c1
+        else:
+            b = a
+            factor = (a - c1) * (a - c2) - 1
+        if abs(factor) < 1e-2:
+            continue
+        try:
+            forms.append(StandardForm(a, b, c1, c2).validate())
+        except NotPhysical:
+            pass
+    return forms
+
+
+@pytest.mark.parametrize("family", ["squeezed_thermal", "symmetric"])
+def test_family_closed_forms_are_simon_factors_in_every_coupling_frame(family):
+    # the closed form times the other factor is the Simon margin, whatever the
+    # coupling signs; c1 = -c2 is no squeezed-thermal candidate, so that family
+    # takes the two patterns with c1 = c2
+    rng = np.random.default_rng(34)
+    signs = [(1, 1), (-1, -1)] + ([(1, -1), (-1, 1)] if family == "symmetric" else [])
+    for sf in family_forms(rng, family):
+        for s1, s2 in signs:
+            form = StandardForm(sf.a, sf.b, s1 * sf.c1, s2 * sf.c2)
+            closed = criteria.family_verdicts(form)
+            assert [v.criterion_id for v in closed] == [
+                "squeezed_thermal" if family == "squeezed_thermal" else "symmetric_two_mode"]
+            a, b, p, q = form.a, form.b, abs(form.c1), abs(form.c2)
+            other = (a + 1) * (b + 1) - p * p if family == "squeezed_thermal" else (
+                (a + p) * (a + q) - 1)
+            want = exact_simon(form)
+            assert abs(closed[0].margin * other - want) <= 1e-12 * abs(want), (form, closed)
 
 
 def test_werner_wolf_margin_sign_vs_pair_search():

@@ -468,6 +468,17 @@ def test_standard_form_rejects_negative_definite_block(block):
         standard_form(CovarianceMatrix(entries=g))
 
 
+def test_standard_form_is_computed_once_per_cm_and_errors_are_not_cached():
+    cm = validate_cm(StandardForm(2.0, 3.0, 0.5, 0.3).to_cm())
+    assert standard_form(cm) is standard_form(cm) == StandardForm(2.0, 3.0, 0.5, 0.3)
+    g = StandardForm(2.0, 2.0, 0.5, 0.5).to_cm()
+    g[:2, :2] = -2.0 * np.eye(2)
+    bad = CovarianceMatrix(entries=g)
+    for _ in range(2):
+        with pytest.raises(DegenerateBlock):
+            standard_form(bad)
+
+
 def strongly_squeezed_cases():
     """Seeded standard forms dressed with local squeezing |s| <= 4: two-mode
     squeezed vacua up to r = 3 (c1 = c2), c2 = 0, C = 0 and random couplings
