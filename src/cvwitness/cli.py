@@ -302,11 +302,10 @@ def cmd_sweep_fig1(args):
 
 
 def _fig2_row(n_th, r):
-    """The sweep-fig2 row of one grid point: n, r, the boundary, the k = 1, 2 margins."""
-    g = validate_cm(families.symmetric_squeezed_thermal(n_th, r))
-    margins = [nongaussian.photon_added_criterion(
-        nongaussian.NGPASGSpec(kernel=g, adds=(k, k), subs=(0, 0))).margin for k in (1, 2)]
-    return (float(n_th), float(r), nongaussian.fig2a_boundary(n_th), *margins)
+    """The sweep-fig2 row of one grid point: n, r, the boundary, the k = 1, 2 margins.
+    Photon counts leave the verdict alone, so one kernel verdict fills both columns."""
+    margin = criteria.kernel_verdict(families.symmetric_squeezed_thermal(n_th, r)).margin
+    return (float(n_th), float(r), nongaussian.fig2a_boundary(n_th), margin, margin)
 
 
 def cmd_sweep_fig2(args):

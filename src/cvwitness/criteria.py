@@ -185,22 +185,15 @@ def _product_certificate(A, B, C, D, E, F):
     factors are concave and nonnegative on [D/(BD - F^2), A - E^2/C], so h
     is log-concave there, and d/du log h = 0 cleared of denominators is the
     quadratic F^2 C (A - u)^2 - E^2 D (B u - 1)^2 + E^2 F^2 (B u^2 - A) = 0.
-    The maximum of h is the best of the interval ends and the roots inside.
+    The maximum of h is the best of the interval ends and the quadratic's roots
+    inside, which witness._stationary_points gives with d3 = 0.
     y is the geometric middle of its range, and x the geometric middle of
     its range given y, so both inequalities keep slack where they can.
     """
     if min(C, D, B * D - F * F) <= 0:
         return None
     lo, hi = D / (B * D - F * F), A - E * E / C
-    us = [lo, hi]
-    a2, a1, a0 = _stationarity_coefficients(A, B, C, D, E, F)
-    if a2:
-        disc = a1 * a1 - 4.0 * a2 * a0
-        if disc >= 0:
-            q = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
-            us += (q / a2, a0 / q) if q else ()
-    elif a1:
-        us.append(-a0 / a1)
+    us = [lo, hi, *witness._stationary_points(0.0, *_stationarity_coefficients(A, B, C, D, E, F))]
     f1, f2 = max(((_slack(C, E, A - u), _slack(D, F, B - 1.0 / u)) for u in us if lo <= u <= hi),
                  key=lambda f: f[0] * f[1], default=(0.0, 0.0))
     if f1 * f2 < 1:

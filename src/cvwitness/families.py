@@ -22,16 +22,10 @@ def werner_wolf_cm(a, b, c, d, e, f):
     Diagonal blocks diag(A,B,A,B) and diag(C,D,C,D); the coupling block
     couples x1-x3 with +E, x2-x4 with -E, p1-p4 and p2-p3 with -F.
     """
-    g = np.zeros((8, 8))
-    g[:4, :4] = np.diag([a, b, a, b])
-    g[4:, 4:] = np.diag([c, d, c, d])
-    cc = np.zeros((4, 4))
-    cc[0, 0] = e
-    cc[1, 3] = -f
-    cc[2, 2] = -e
-    cc[3, 1] = -f
-    g[:4, 4:] = cc
-    g[4:, :4] = cc.T
+    g = np.diag(np.array([a, b, a, b, c, d, c, d], float))
+    g[0, 4] = g[4, 0] = e
+    g[2, 6] = g[6, 2] = -e
+    g[1, 7] = g[7, 1] = g[3, 5] = g[5, 3] = -f
     return g
 
 
@@ -42,10 +36,7 @@ def symmetric_multimode_cm(n, a, b, c1, c2):
     gp = np.full((n, n), -c2)
     np.fill_diagonal(gp, b)
     g = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        for j in range(n):
-            g[2 * i, 2 * j] = gx[i, j]
-            g[2 * i + 1, 2 * j + 1] = gp[i, j]
+    g[0::2, 0::2], g[1::2, 1::2] = gx, gp
     return g
 
 

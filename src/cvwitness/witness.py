@@ -162,7 +162,8 @@ _SCHEDULE_HI = tuple(math.sqrt(m1 / (m1 + 1.0)) * (1.0 - 1e-9) for m1 in _SCHEDU
 
 def _stationary_points(d3, d2, d1, d0):
     """Real roots of the cubic d3 u^3 + d2 u^2 + d1 u + d0, and the real part
-    of a complex pair as a spare candidate.
+    of a complex pair as a spare candidate: minimize_L's schedule cubic, and,
+    with d3 = 0, criteria._product_certificate's stationarity quadratic.
 
     Roots come in closed form (trigonometric for three real roots, Cardano's
     otherwise, the quadratic formula without cancellation), and each real one

@@ -126,6 +126,41 @@ MUTATIONS = [
         tests=("tests/test_criteria.py::"
                "test_family_closed_forms_are_simon_factors_in_every_coupling_frame[symmetric]",),
     ),
+    # Simon agreement, in the band: the squeezed-thermal margin scaled by 1e-10
+    # keeps every sign, so the family filter keeps it, but it reads "boundary"
+    # where Simon reads "entangled" or "satisfied"
+    Mutation(
+        id="property-simon-agreement-band",
+        file="src/cvwitness/criteria.py",
+        old='    return Verdict("squeezed_thermal", float((a - 1.0) * (b - 1.0) - c * c))\n',
+        new='    return Verdict("squeezed_thermal", 1e-10 * float((a - 1.0) * (b - 1.0) - c * c))\n',
+        tests=("tests/test_properties.py::"
+               "test_kernel_verdict_agrees_with_simon_on_closed_form_families",),
+    ),
+    # the Werner-Wolf certificate from the interval ends only, without the
+    # stationary points: an interior maximum of h near the boundary is missed
+    Mutation(
+        id="ww-certificate-ends-only",
+        file="src/cvwitness/criteria.py",
+        old=("    us = [lo, hi, *witness._stationary_points("
+             "0.0, *_stationarity_coefficients(A, B, C, D, E, F))]\n"),
+        new="    us = [lo, hi]\n",
+        tests=("tests/test_ww_certificate.py::test_ww_pair_near_boundary[1e-07]",
+               "tests/test_ww_certificate.py::test_refined_search_near_boundary[1e-07]",
+               "tests/test_acceptance.py::test_acceptance_10_werner_wolf_closed_form_vs_search"),
+    ),
+    # each entry's mantissa cut to 52 bits on its way to an int: the invariants
+    # are off wherever a lowest mantissa bit is set
+    Mutation(
+        id="invariants-mantissa-bit",
+        file="src/cvwitness/symplectic.py",
+        old=("        int(math.ldexp(m, 53)) << (e - 53 + k) if m else 0"
+             " for m, e in map(math.frexp, flat)]\n"),
+        new=("        int(math.ldexp(m, 52)) << (e - 52 + k) if m else 0"
+             " for m, e in map(math.frexp, flat)]\n"),
+        tests=("tests/test_symplectic.py::"
+               "test_two_mode_invariants_equal_exact_rational_determinants",),
+    ),
     # the float64-range rule of a standard form lifted from its type: each
     # command meets 1e160 I4 downstream, with its own answer
     Mutation(

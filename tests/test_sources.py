@@ -11,3 +11,23 @@ def test_sources_parse_as_python_3_10(path):
     # pyproject.toml declares requires-python >= 3.10, and the tests run on a later
     # Python, which would accept syntax that 3.10 refuses
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def scipy_imports(path):
+    """(module, name) of each import of a scipy module or name in one source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [(a.name, None) for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "scipy"):
+            found += [(node.module, a.name) for a in node.names]
+    return found
+
+
+def test_runtime_scipy_is_at_most_one_import():
+    # witness.py's brentq is the one runtime use of SciPy, so a SciPy-free
+    # package stays a one-module change; no import at all passes too
+    found = {path.name: scipy_imports(path) for path in SOURCES}
+    assert {name: f for name, f in found.items() if f} in (
+        {}, {"witness.py": [("scipy.optimize", "brentq")]})

@@ -582,6 +582,35 @@ def test_two_mode_spectra_of_entries_far_apart():
         assert abs(got - want) <= 1e-15 * want
 
 
+def wide_symmetric_matrices(count, seed):
+    """Seeded symmetric 4x4 matrices of random signs and mantissas, about a fifth
+    of the entries 0. Half draw their binary exponents from a window of 60, half
+    from subnormals to 1.7e308."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        width = rng.choice([60, 2098])
+        low = rng.integers(-1126, 973 - width)
+        mantissas = rng.integers(1, 2**53, size=10) * rng.choice([-1.0, 1.0], size=10)
+        upper = np.ldexp(mantissas, rng.integers(low, low + width, size=10))
+        upper[rng.random(10) < 0.2] = 0.0
+        g = np.zeros((4, 4))
+        g[np.triu_indices(4)] = upper
+        yield g + np.triu(g, 1).T
+
+
+def test_two_mode_invariants_equal_exact_rational_determinants():
+    # det A, det B and det C at scale 2^K are the Fraction minors times 4^K, and
+    # det gamma is the Fraction determinant times 16^K, at every spread of entries
+    for g in wide_symmetric_matrices(4000, seed=1):
+        det_a, det_b, det_c, _, k = symplectic.two_mode_invariants(g)
+        m, scale = exact(g), Fraction(4) ** k
+        assert (det_a, det_b, det_c) == tuple(
+            exact_minor(m, i, j) * scale for i, j in ((0, 0), (2, 2), (0, 2))), g.tolist()
+    for g in wide_symmetric_matrices(1000, seed=2):
+        _, _, _, det, k = symplectic.two_mode_invariants(g)
+        assert det == exact_det(exact(g)) * Fraction(16) ** k, g.tolist()
+
+
 def test_two_mode_spectra_where_rounding_makes_det_gamma_negative():
     # a squeezed vacuum at r = 9.03 with its couplings 3 ulps apart: validate_cm
     # accepts it, yet det gamma < 0 exactly, so nu_- reads 0 as at r = 10
