@@ -5,7 +5,9 @@
 For each mutation the runner copies src/, tests/ and pyproject.toml into a
 temporary directory, replaces one exact snippet in one file there, runs the
 listed tests on the copy and prints "caught" when every listed test fails,
-"survived" otherwise; the exit code is 1 if any mutation survived. It is not
+"survived" otherwise, and "broken" when the mutated copy raises NameError,
+SyntaxError or ImportError, since a failure of that kind shows nothing about
+the tests; the exit code is 1 if any mutation survived or broke. It is not
 part of tier-1: tests/test_mutations.py only checks that each old snippet
 still occurs exactly once in its file, so a change to a guarded line must
 update its mutation too.
@@ -40,7 +42,7 @@ MUTATIONS = [
         id="invariants-in-float",
         file="src/cvwitness/symplectic.py",
         old="    return det_a, det_b, det_c, det, k\n",
-        new=("    f = [float(x) for x in ints]\n"
+        new=("    f = [float(x) for x in (g00, g01, g02, g03, g11, g12, g13, g22, g23, g33)]\n"
              "    return (int(f[0] * f[4] - f[1] * f[1]), int(f[7] * f[9] - f[8] * f[8]),\n"
              "            int(f[2] * f[6] - f[3] * f[5]), int(np.linalg.det(np.ldexp(entries, k))), k)\n"),
         tests=("tests/test_symplectic.py::test_two_mode_spectra_against_60_digit_oracle",
@@ -216,8 +218,13 @@ def failing_tests(output):
             if line.startswith(("FAILED ", "ERROR ")) and len(line.split()) > 1}
 
 
+# errors that mean the mutated text no longer fits the code around it
+BROKEN = ("NameError", "SyntaxError", "ImportError")
+
+
 def run(mutation):
-    """Apply mutation to a copy of the tree and run its tests; True if caught."""
+    """Apply mutation to a copy of the tree and run its tests; "caught",
+    "survived" or "broken"."""
     with tempfile.TemporaryDirectory(prefix="cvwitness-mutation-") as tmp:
         tmp = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
@@ -233,7 +240,9 @@ def run(mutation):
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
              *mutation.tests], cwd=tmp, env=env, capture_output=True, text=True)
-        return set(mutation.tests) <= failing_tests(proc.stdout)
+        if any(f"{name}:" in proc.stdout for name in BROKEN):
+            return "broken"
+        return "caught" if set(mutation.tests) <= failing_tests(proc.stdout) else "survived"
 
 
 def main(argv=None):
@@ -243,15 +252,14 @@ def main(argv=None):
     chosen = [m for m in MUTATIONS if args.id is None or m.id in args.id]
     if args.id and len(chosen) != len(set(args.id)):
         parser.error(f"unknown id among {args.id}")
-    start, survived = time.monotonic(), 0
+    start, caught = time.monotonic(), 0
     for m in chosen:
         t0 = time.monotonic()
-        caught = run(m)
-        survived += not caught
-        print(f"{m.id}: {'caught' if caught else 'survived'} ({time.monotonic() - t0:.1f} s)",
-              flush=True)
-    print(f"{len(chosen) - survived}/{len(chosen)} caught in {time.monotonic() - start:.1f} s")
-    return 1 if survived else 0
+        status = run(m)
+        caught += status == "caught"
+        print(f"{m.id}: {status} ({time.monotonic() - t0:.1f} s)", flush=True)
+    print(f"{caught}/{len(chosen)} caught in {time.monotonic() - start:.1f} s")
+    return 0 if caught == len(chosen) else 1
 
 
 if __name__ == "__main__":
