@@ -131,10 +131,11 @@ def family_verdicts(sf):
     return [v for v in out if not (v.margin < 0 < simon or simon < 0 < v.margin)]
 
 
-def simon_criterion(sf):
-    """Simon criterion for a two-mode standard form (PPT-equivalent): the exact margin
-    det gamma - det A - det B - 2 |det C| + 1 of its CM, rounded once (+-inf past float64)."""
-    det_a, det_b, det_c, det, k = symplectic.two_mode_invariants(sf.to_cm())
+def simon_criterion(state):
+    """Simon criterion (PPT-equivalent) for a two-mode CovarianceMatrix or StandardForm:
+    the exact margin det gamma - det A - det B - 2 |det C| + 1 of state.invariants, the
+    CM's own or the standard form's CM's, rounded once (+-inf past float64)."""
+    det_a, det_b, det_c, det, k = state.invariants
     top = 4 * max(k, 0)  # det gamma is at scale 2^4k, the 2x2 dets at 2^2k
     margin = (det << top - 4 * k) - (det_a + det_b + 2 * abs(det_c) << top - 2 * k) + (1 << top)
     return Verdict("simon", symplectic.unscale(margin, 1, top))
@@ -285,13 +286,15 @@ def determinant_ratio(L):
 
 def decide(state):
     """The verdicts check-gaussian prints for a parsed state: Simon's and the closed
-    forms family_verdicts keeps for a standard form, Simon's for a two-mode CM, and
-    its own criterion for a named family."""
+    forms family_verdicts keeps for a standard form, Simon's on the CM's own exact
+    invariants for a two-mode CM, and its own criterion for a named family."""
     if isinstance(state, StandardForm):
         return [simon_criterion(state), *family_verdicts(state)]
     if isinstance(state, CovarianceMatrix):
         if state.n == 2:
-            return [simon_criterion(standard_form(state))]
+            # result unused: this refuses a degenerate block or a form beyond float64 range
+            standard_form(state)
+            return [simon_criterion(state)]
         raise SchemaError("raw multimode CMs need a named-family description")
     if isinstance(state, WernerWolf2x2Params):
         return [werner_wolf_2x2(state)]

@@ -136,6 +136,11 @@ class StandardForm:
     def to_cm(self):
         return six_param_cm(self.a, self.a, self.b, self.b, self.c1, self.c2)
 
+    @cached_property
+    def invariants(self):
+        """two_mode_invariants of to_cm(), computed once: the form is frozen."""
+        return two_mode_invariants(self.to_cm())
+
     def validate(self):
         validate_cm(self.to_cm())
         return self

@@ -6,11 +6,11 @@ For each mutation the runner copies src/, tests/ and pyproject.toml into a
 temporary directory, replaces one exact snippet in one file there, runs the
 listed tests on the copy and prints "caught" when every listed test fails,
 "survived" otherwise, and "broken" when the mutated copy raises NameError,
-SyntaxError or ImportError, since a failure of that kind shows nothing about
-the tests; the exit code is 1 if any mutation survived or broke. It is not
-part of tier-1: tests/test_mutations.py only checks that each old snippet
-still occurs exactly once in its file, so a change to a guarded line must
-update its mutation too.
+SyntaxError, ImportError, AttributeError or TypeError, since a failure of that
+kind shows nothing about the tests; the exit code is 1 if any mutation
+survived or broke. It is not part of tier-1: tests/test_mutations.py only
+checks that each old snippet still occurs exactly once in its file, so a
+change to a guarded line must update its mutation too.
 """
 
 import argparse
@@ -173,22 +173,32 @@ MUTATIONS = [
         new="",
         tests=("tests/test_cli.py::test_one_answer_per_state_beyond_float64_range",),
     ),
-    # the Simon margin as the quartic in float on the standard form: at a = 2e14
-    # it cancels to -3.3e27 where the exact margin is 0
+    # the Simon margin as the quartic in float on the standard form, a CM's
+    # reduced first: at a = 2e14 it cancels to -3.3e27 where the exact margin is 0
     Mutation(
         id="simon-margin-in-float",
         file="src/cvwitness/criteria.py",
-        old=("    det_a, det_b, det_c, det, k = symplectic.two_mode_invariants(sf.to_cm())\n"
+        old=("    det_a, det_b, det_c, det, k = state.invariants\n"
              "    top = 4 * max(k, 0)  # det gamma is at scale 2^4k, the 2x2 dets at 2^2k\n"
              "    margin = (det << top - 4 * k) - (det_a + det_b + 2 * abs(det_c) << top - 2 * k)"
              " + (1 << top)\n"
              '    return Verdict("simon", symplectic.unscale(margin, 1, top))\n'),
-        new=("    a, b, c1, c2 = sf.a, sf.b, sf.c1, sf.c2\n"
+        new=("    sf = standard_form(state) if isinstance(state, CovarianceMatrix) else state\n"
+             "    a, b, c1, c2 = sf.a, sf.b, sf.c1, sf.c2\n"
              "    margin = (a * b - c1**2) * (a * b - c2**2) - 2 * abs(c1 * c2) - a**2 - b**2 + 1\n"
              '    return Verdict("simon", float(margin))\n'),
         tests=("tests/test_criteria.py::test_simon_margin_is_exact_at_the_boundary[1e-16]",
                "tests/test_criteria.py::test_simon_margin_is_exact_at_the_boundary[-1e-15]",
                "tests/test_cli.py::test_check_gaussian_reads_the_boundary_exactly[1e-16]"),
+    ),
+    # decide gives a raw two-mode CM the Simon margin of its rounded standard
+    # form's rebuilt CM, not the exact margin of the CM it was given
+    Mutation(
+        id="decide-simon-of-the-standard-form",
+        file="src/cvwitness/criteria.py",
+        old="            return [simon_criterion(state)]\n",
+        new="            return [simon_criterion(standard_form(state))]\n",
+        tests=("tests/test_criteria.py::test_simon_margin_of_a_raw_cm_is_its_own_exact_margin",),
     ),
     # standard_form without its refusal of a block with a diagonal entry <= 0:
     # -2 I has the determinant of 2 I and reduces as if it were positive
@@ -219,7 +229,7 @@ def failing_tests(output):
 
 
 # errors that mean the mutated text no longer fits the code around it
-BROKEN = ("NameError", "SyntaxError", "ImportError")
+BROKEN = ("NameError", "SyntaxError", "ImportError", "AttributeError", "TypeError")
 
 
 def run(mutation):

@@ -152,6 +152,32 @@ def test_simon_words_match_the_exact_margin_under_strong_squeezing():
         assert criteria.decide(cm)[0].classification is want
 
 
+def edge_dressed_cms(rng, count, draw_ab, epsilons):
+    """count squeezed thermal forms, (a, b) = draw_ab(rng) and c = sqrt((a - 1)(b - 1))
+    times 1 +- eps for eps drawn from epsilons, dressed with local squeezing |s| <= 3."""
+    cms = []
+    for _ in range(count):
+        a, b = draw_ab(rng)
+        eps = rng.choice([-1.0, 1.0]) * rng.choice(epsilons)
+        c = math.sqrt((a - 1.0) * (b - 1.0)) * (1.0 + eps)
+        cms.append(dressed_cm(StandardForm(a, b, c, c), rng, squeeze=3.0))
+    return cms
+
+
+def test_simon_margin_of_a_raw_cm_is_its_own_exact_margin():
+    # decide gives a raw CM the exact margin of its own invariants, rounded once; the
+    # rebuilt CM of its rounded standard form has another margin on each of these 4400
+    wrong = 0
+    for seed in (5, 6, 7, 8):
+        cms = (edge_dressed_cms(np.random.default_rng(seed), 800,
+                                lambda rng: 10.0 ** rng.uniform(2.0, 6.0, 2), [1e-14, 1e-15])
+               + edge_dressed_cms(np.random.default_rng(seed), 300,
+                                  lambda rng: rng.uniform(1.5, 4.0, 2), [1e-14]))
+        wrong += sum(criteria.decide(cm)[0].margin != float(exact_cm_simon(cm.entries))
+                     for cm in cms)
+    assert wrong == 0
+
+
 def test_family_verdicts_cannot_flip_the_word_at_scale():
     # squeezed thermal states 1e-6..1e-2 from the PPT boundary with b a little
     # above a, 400 in each band a in [1e4, 1e6], ..., [1e12, 1e14]: a symmetric

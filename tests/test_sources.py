@@ -31,3 +31,18 @@ def test_runtime_scipy_is_at_most_one_import():
     found = {path.name: scipy_imports(path) for path in SOURCES}
     assert {name: f for name, f in found.items() if f} in (
         {}, {"witness.py": [("scipy.optimize", "brentq")]})
+
+
+def calls_to(path, name):
+    """Line numbers of the calls to name, bare or as an attribute, in one source file."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_only_symplectic_forms_two_mode_invariants():
+    # each two-mode state carries one cached set of exact invariants, so a second
+    # derivation elsewhere would give one state two sets
+    found = {path.name: calls_to(path, "two_mode_invariants") for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines and name != "symplectic.py"} == {}
+    assert found["symplectic.py"]

@@ -80,6 +80,29 @@ def test_validate_rejects_unphysical():
     assert exc.value.min_eigenvalue < -1e-9
 
 
+NON_STATES_WITH_STATE_INVARIANTS = [
+    np.block([[np.eye(2), 2 * np.eye(2)], [2 * np.eye(2), np.eye(2)]]),  # eigenvalues -1, -1, 3, 3
+    np.diag([1.0, 1.0, -1.0, -1.0]),
+]
+
+
+@pytest.mark.parametrize("g", NON_STATES_WITH_STATE_INVARIANTS, ids=["coupled", "diagonal"])
+def test_validate_refuses_non_states_with_every_invariant_sign_of_a_state(g):
+    # a positive definite first block, det gamma > 0, Delta >= 2 and
+    # 1 - Delta + det gamma >= 0 hold here, so a rule made of those signs alone
+    # would accept them; gamma > 0 also needs (det A B - C^T adj(A) C)_00 > 0
+    det_a, det_b, det_c, det, k = symplectic.two_mode_invariants(g)
+    delta = det_a + det_b + 2 * det_c
+    assert g[0, 0] > 0 and det_a > 0 and det > 0
+    assert delta >= 2 << 2 * k and (1 << 4 * k) - (delta << 2 * k) + det == 0
+    a, b, c = g[:2, :2], g[2:, 2:], g[:2, 2:]
+    adj_a = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+    assert (np.linalg.det(a) * b - c.T @ adj_a @ c)[0, 0] < 0
+    with pytest.raises(NotPhysical) as exc:
+        validate_cm(g)
+    assert exc.value.min_eigenvalue == pytest.approx(-2.0)
+
+
 def test_thermal_symplectic_eigenvalues():
     cm = validate_cm(np.diag([3.0, 3.0, 1.5, 1.5]))
     assert symplectic_eigenvalues(cm) == pytest.approx([3.0, 1.5])
