@@ -118,16 +118,16 @@ def family_match(u, v):
     return abs(u - v) <= FAMILY_MATCH_TOL * max(1.0, u)
 
 
-def family_verdicts(sf):
+def family_verdicts(sf, simon):
     """The Simon factors that decide a standard form: squeezed thermal if c1 ~ c2, then
-    symmetric if a ~ b, each kept unless its sign is strictly opposite to the exact margin's."""
+    symmetric if a ~ b, each kept unless its sign is strictly opposite to simon's, the
+    exact Simon margin of the state sf stands for, which the caller forms."""
     a, b, c1, c2 = sf.a, sf.b, sf.c1, sf.c2
     out = []
     if family_match(c1, c2):
         out.append(squeezed_thermal(a, b, c1))
     if family_match(a, b):
         out.append(symmetric_two_mode(a, c1, c2))
-    simon = simon_criterion(sf).margin
     return [v for v in out if not (v.margin < 0 < simon or simon < 0 < v.margin)]
 
 
@@ -289,7 +289,8 @@ def decide(state):
     forms family_verdicts keeps for a standard form, Simon's on the CM's own exact
     invariants for a two-mode CM, and its own criterion for a named family."""
     if isinstance(state, StandardForm):
-        return [simon_criterion(state), *family_verdicts(state)]
+        simon = simon_criterion(state)
+        return [simon, *family_verdicts(state, simon.margin)]
     if isinstance(state, CovarianceMatrix):
         if state.n == 2:
             # result unused: this refuses a degenerate block or a form beyond float64 range
@@ -309,14 +310,15 @@ def kernel_verdict(gamma):
     """Separability verdict for a two-mode Gaussian kernel CM.
 
     The last closed form family_verdicts keeps for the standard form
-    (symmetric before squeezed thermal), else the determinant-ratio bound
-    that witness.minimize_L gives on that same standard form.
+    (symmetric before squeezed thermal) against the Simon margin of the CM's
+    own invariants, else the determinant-ratio bound that witness.minimize_L
+    gives on that same standard form.
     """
     cm = gamma if isinstance(gamma, CovarianceMatrix) else validate_cm(gamma)
     if cm.n != 2:
         raise ValueError("kernel classification is defined for two-mode states")
     sf = standard_form(cm)
-    closed = family_verdicts(sf)
+    closed = family_verdicts(sf, simon_criterion(cm).margin)
     return closed[-1] if closed else determinant_ratio(witness.minimize_L(sf)[0])
 
 

@@ -234,19 +234,24 @@ def min_pt_symplectic_eigenvalue(cm, partition=None):
 _GUARD = 64
 
 
+def _scaled_ints(values):
+    """The finite floats values as exact ints at scale 2^K, and K. 2^-K is the
+    least place value of their 53-bit mantissas, so scaling every value by a power
+    of two leaves the ints alone. Each value is its mantissa's int shifted by its
+    exponent plus K, exact from subnormals to 1.7e308."""
+    k = 53 - math.frexp(min(map(abs, filter(None, values)), default=0.5))[1]
+    return [int(math.ldexp(m, 53)) << (e - 53 + k) if m else 0
+            for m, e in map(math.frexp, values)], k
+
+
 def two_mode_invariants(entries):
     """det A, det B, det C and det gamma of a two-mode CM as exact ints at scale
-    2^K, and K. 2^-K is the least place value of the ten upper-triangle entries'
-    53-bit mantissas, so scaling the CM by a power of two leaves the ints alone.
-    Each entry is its mantissa's int shifted by its exponent plus K, exact from
-    subnormals to 1.7e308. det gamma expands along rows (0, 1) into six
-    products of 2x2 minors."""
+    2^K, and K, from _scaled_ints of the ten upper-triangle entries. det gamma
+    expands along rows (0, 1) into six products of 2x2 minors."""
     (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (_, _, _, g33) = (
         entries.tolist())
-    flat = (g00, g01, g02, g03, g11, g12, g13, g22, g23, g33)
-    k = 53 - math.frexp(min(map(abs, filter(None, flat)), default=0.5))[1]
-    g00, g01, g02, g03, g11, g12, g13, g22, g23, g33 = [
-        int(math.ldexp(m, 53)) << (e - 53 + k) if m else 0 for m, e in map(math.frexp, flat)]
+    (g00, g01, g02, g03, g11, g12, g13, g22, g23, g33), k = _scaled_ints(
+        (g00, g01, g02, g03, g11, g12, g13, g22, g23, g33))
     det_a, det_b = g00 * g11 - g01 * g01, g22 * g33 - g23 * g23
     det_c = g02 * g13 - g03 * g12
     det = (det_a * det_b + det_c * det_c

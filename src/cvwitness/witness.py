@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from . import symplectic
 from .errors import OptimFailure, ValidationError
 from .symplectic import CovarianceMatrix, require_psd, six_param_cm, standard_form, validate_cm
 
@@ -210,7 +211,8 @@ def minimize_L(gamma):
     Minimizes a large-parameter schedule exactly for each M1 on the standard
     form sf of gamma in both party orders, so L is the same in every local
     frame and party order, and compares the analytic infinite-parameter limit
-    (b+1)/2 - c^2/(2(a-1)). A StandardForm gamma is taken in standard_form's
+    1 + ((a-1)(b-1) - c^2)/(2(a-1)), a >= b and c = (c1 + c2)/2, one ratio of exact
+    ints rounded once. A StandardForm gamma is taken in standard_form's
     frame, c1 >= |c2|. Returns (L, best_detect): best_detect is None when the
     limit wins, else L_ratio(sf.to_cm(), best_detect) == L for sf in that frame.
     """
@@ -219,7 +221,6 @@ def minimize_L(gamma):
     # local rotations swap c1 and c2 and flip both signs; det C = -c1 c2 stays
     c1, c2 = max(abs(c1), abs(c2)), math.copysign(min(abs(c1), abs(c2)), c1 * c2)
     a, b = (sa, sb) if sa >= sb else (sb, sa)
-    c = 0.5 * (c1 + c2)
 
     # The sector factors of det(gamma_M + diag(x, 1/x, y, 1/y)) are posynomials
     # in (x, y), with constant term M1 - u^2 (M1+1) >= 0 up to hi, that trade
@@ -244,7 +245,11 @@ def minimize_L(gamma):
                 if val < best_val:
                     best_val, best = val, (m1, u, swapped)
     if a > 1.0:
-        limit = 0.5 * (b + 1.0) - c * c / (2.0 * (a - 1.0))
+        # 1 + ((a-1)(b-1) - c^2) / (2(a-1)), c = (c1 + c2)/2, in ints at scale 2^k
+        # (k >= 52, as 1.0 is among the values), rounded once
+        (A, B, C1, C2, one), k = symplectic._scaled_ints((a, b, c1, c2, 1.0))
+        den = 8 * (A - one) << k
+        limit = symplectic.unscale(den + 4 * (A - one) * (B - one) - (C1 + C2) ** 2, den, 0)
         if limit < best_val:
             return limit, None
     m1, u, swapped = best

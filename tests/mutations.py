@@ -111,8 +111,10 @@ MUTATIONS = [
     Mutation(
         id="property-added-noise",
         file="src/cvwitness/witness.py",
-        old="    c = 0.5 * (c1 + c2)\n",
-        new="    c = c1 + c2\n",
+        old=("        limit = symplectic.unscale(den + 4 * (A - one) * (B - one)"
+             " - (C1 + C2) ** 2, den, 0)\n"),
+        new=("        limit = symplectic.unscale(den + 4 * (A - one) * (B - one)"
+             " - 4 * (C1 + C2) ** 2, den, 0)\n"),
         tests=("tests/test_properties.py::test_noise_keeps_separable_states_separable",),
     ),
     # Simon agreement: the symmetric closed form with the sign of c2 flipped. The
@@ -151,15 +153,13 @@ MUTATIONS = [
                "tests/test_ww_certificate.py::test_refined_search_near_boundary[1e-07]",
                "tests/test_acceptance.py::test_acceptance_10_werner_wolf_closed_form_vs_search"),
     ),
-    # each entry's mantissa cut to 52 bits on its way to an int: the invariants
+    # each value's mantissa cut to 52 bits on its way to an int: the invariants
     # are off wherever a lowest mantissa bit is set
     Mutation(
         id="invariants-mantissa-bit",
         file="src/cvwitness/symplectic.py",
-        old=("        int(math.ldexp(m, 53)) << (e - 53 + k) if m else 0"
-             " for m, e in map(math.frexp, flat)]\n"),
-        new=("        int(math.ldexp(m, 52)) << (e - 52 + k) if m else 0"
-             " for m, e in map(math.frexp, flat)]\n"),
+        old="    return [int(math.ldexp(m, 53)) << (e - 53 + k) if m else 0\n",
+        new="    return [int(math.ldexp(m, 52)) << (e - 52 + k) if m else 0\n",
         tests=("tests/test_symplectic.py::"
                "test_two_mode_invariants_equal_exact_rational_determinants",),
     ),
@@ -209,6 +209,29 @@ MUTATIONS = [
         new="        if (False\n",
         tests=("tests/test_symplectic.py::test_standard_form_rejects_negative_definite_block[0]",
                "tests/test_symplectic.py::test_standard_form_rejects_negative_definite_block[2]"),
+    ),
+    # kernel_verdict filters its closed forms by the Simon margin of its rounded
+    # standard form's rebuilt CM, a second set of invariants, not by the kernel's own
+    Mutation(
+        id="kernel-filter-of-the-rounded-form",
+        file="src/cvwitness/criteria.py",
+        old="    closed = family_verdicts(sf, simon_criterion(cm).margin)\n",
+        new="    closed = family_verdicts(sf, simon_criterion(sf).margin)\n",
+        tests=("tests/test_criteria.py::test_kernel_closed_forms_never_oppose_the_exact_margin",
+               "tests/test_criteria.py::test_kernel_verdict_forms_the_invariants_once[closed]",
+               "tests/test_criteria.py::test_kernel_verdict_forms_the_invariants_once[L]"),
+    ),
+    # the infinite-parameter limit of minimize_L in float: (b+1)/2 - c^2/(2(a-1))
+    # cancels to -0.015625 at a = 2e14 where the exact limit is 1
+    Mutation(
+        id="witness-limit-in-float",
+        file="src/cvwitness/witness.py",
+        old=("        limit = symplectic.unscale(den + 4 * (A - one) * (B - one)"
+             " - (C1 + C2) ** 2, den, 0)\n"),
+        new=("        limit = 0.5 * (b + 1.0) - (0.5 * (c1 + c2)) ** 2 / (2.0 * (a - 1.0))\n"),
+        tests=("tests/test_witness.py::test_minimize_L_limit_is_exact_at_the_boundary[1e-16]",
+               "tests/test_witness.py::test_minimize_L_limit_is_exact_at_the_boundary[-1e-15]",
+               "tests/test_cli.py::test_witness_optimize_reads_the_boundary_exactly[1e-16]"),
     ),
     # minimize_L takes a standard form's couplings as given, not in the frame
     # c1 >= |c2|: a form with negative couplings gets a larger L than its CM

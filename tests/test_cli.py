@@ -192,6 +192,16 @@ def test_witness_optimize_vacuum_margin_is_zero(tmp_path, capsys):
     assert report["L"] == 1.0 and report["criteria"][0]["margin"] == 0.0
 
 
+@pytest.mark.parametrize("delta", [1e-16, -1e-16, 1e-15, -1e-15])
+def test_witness_optimize_reads_the_boundary_exactly(tmp_path, capsys, delta):
+    inp = write_json(tmp_path / "s.json", {"cm": boundary_cm(delta).entries.tolist()})
+    out = tmp_path / "r.json"
+    assert cli.main(["witness-optimize", "--input", inp, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == "determinant_ratio margin 0 boundary\n"
+    report = json.loads(out.read_text())
+    assert report["L"] == 1.0 and "detect" not in report
+
+
 def test_kernel_spectrum_csv(tmp_path):
     inp = write_json(tmp_path / "k.json", {"alpha": 1.0, "r": 0.5})
     out = str(tmp_path / "spec.csv")

@@ -178,6 +178,57 @@ def test_simon_margin_of_a_raw_cm_is_its_own_exact_margin():
     assert wrong == 0
 
 
+def raw_edge_cms(seed):
+    """test_simon_margin_of_a_raw_cm_is_its_own_exact_margin's 1100 CMs of one seed."""
+    return (edge_dressed_cms(np.random.default_rng(seed), 800,
+                             lambda rng: 10.0 ** rng.uniform(2.0, 6.0, 2), [1e-14, 1e-15])
+            + edge_dressed_cms(np.random.default_rng(seed), 300,
+                               lambda rng: rng.uniform(1.5, 4.0, 2), [1e-14]))
+
+
+def test_kernel_closed_forms_never_oppose_the_exact_margin():
+    # filtered by the margin of its rounded standard form's rebuilt CM, seed 7 kept a
+    # squeezed-thermal -5.4e-4 where the CM's exact margin is +0.453
+    opposed = []
+    for seed in (5, 6, 7, 8):
+        for cm in raw_edge_cms(seed):
+            v = criteria.kernel_verdict(cm)
+            if v.criterion_id != "determinant_ratio":
+                simon = exact_cm_simon(cm.entries)
+                if v.margin < 0 < simon or simon < 0 < v.margin:
+                    opposed.append((seed, v, float(simon)))
+    assert opposed == []
+
+
+@pytest.mark.parametrize("form", [StandardForm(3.0, 2.0, 1.0, 1.0),
+                                  StandardForm(3.0, 2.0, 1.0, 0.5)], ids=["closed", "L"])
+def test_kernel_verdict_forms_the_invariants_once(monkeypatch, form):
+    # the kernel's own cached invariants give both its standard form and the Simon
+    # margin its closed forms are filtered by
+    calls, original = [], symplectic.two_mode_invariants
+
+    def counted(entries):
+        calls.append(entries)
+        return original(entries)
+
+    monkeypatch.setattr(symplectic, "two_mode_invariants", counted)
+    criteria.kernel_verdict(form.to_cm())
+    assert len(calls) == 1
+
+
+def test_decide_standard_form_forms_simon_once(monkeypatch):
+    calls, original = [], criteria.simon_criterion
+
+    def counted(state):
+        calls.append(state)
+        return original(state)
+
+    monkeypatch.setattr(criteria, "simon_criterion", counted)
+    got = criteria.decide(StandardForm(a=3.0, b=3.0, c1=2.0, c2=2.0))
+    assert [v.criterion_id for v in got] == ["simon", "squeezed_thermal", "symmetric_two_mode"]
+    assert len(calls) == 1
+
+
 def test_family_verdicts_cannot_flip_the_word_at_scale():
     # squeezed thermal states 1e-6..1e-2 from the PPT boundary with b a little
     # above a, 400 in each band a in [1e4, 1e6], ..., [1e12, 1e14]: a symmetric
@@ -190,7 +241,7 @@ def test_family_verdicts_cannot_flip_the_word_at_scale():
         b = a + rng.uniform(0.0, 1e-3, 400)
         c = a - (1.0 + rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-6.0, -2.0, 400))
         for sf in map(StandardForm, a.tolist(), b.tolist(), c.tolist(), c.tolist()):
-            closed = criteria.family_verdicts(sf)
+            closed = criteria.family_verdicts(sf, criteria.simon_criterion(sf).margin)
             kept += len(closed)
             if exact_simon(sf) > 0:
                 assert not any(v.entangled for v in closed), (sf, closed)
@@ -229,7 +280,7 @@ def test_family_closed_forms_are_simon_factors_in_every_coupling_frame(family):
     for sf in family_forms(rng, family):
         for s1, s2 in signs:
             form = StandardForm(sf.a, sf.b, s1 * sf.c1, s2 * sf.c2)
-            closed = criteria.family_verdicts(form)
+            closed = criteria.family_verdicts(form, criteria.simon_criterion(form).margin)
             assert [v.criterion_id for v in closed] == [
                 "squeezed_thermal" if family == "squeezed_thermal" else "symmetric_two_mode"]
             a, b, p, q = form.a, form.b, abs(form.c1), abs(form.c2)
@@ -356,7 +407,8 @@ def test_decide_standard_form_gives_simon_then_its_closed_forms():
     # squeezed thermal (c1 = c2) and symmetric (a = b) at once, in family_verdicts order
     sf = StandardForm(a=3.0, b=3.0, c1=2.0, c2=2.0)
     got = criteria.decide(sf)
-    assert got == [criteria.simon_criterion(sf), *criteria.family_verdicts(sf)]
+    simon = criteria.simon_criterion(sf)
+    assert got == [simon, *criteria.family_verdicts(sf, simon.margin)]
     assert [v.criterion_id for v in got] == ["simon", "squeezed_thermal", "symmetric_two_mode"]
     assert [v.criterion_id for v in criteria.decide(StandardForm(3.0, 2.0, 1.0, 0.5))] == ["simon"]
 

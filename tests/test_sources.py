@@ -46,3 +46,27 @@ def test_only_symplectic_forms_two_mode_invariants():
     found = {path.name: calls_to(path, "two_mode_invariants") for path in SOURCES}
     assert {name: lines for name, lines in found.items() if lines and name != "symplectic.py"} == {}
     assert found["symplectic.py"]
+
+
+@pytest.mark.parametrize("name", ["simon_criterion", "family_verdicts"])
+def test_only_criteria_picks_a_two_mode_verdict(name):
+    # criteria is the one module that picks a verdict, so every two-mode word is
+    # filtered against one Simon margin per state
+    found = {path.name: calls_to(path, name) for path in SOURCES}
+    assert {file: lines for file, lines in found.items() if lines and file != "criteria.py"} == {}
+    assert found["criteria.py"]
+
+
+def references_to(path, name):
+    """Line numbers of each use of name, bare or as an attribute, in one source file."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name]
+
+
+def test_only_symplectic_turns_floats_into_ints():
+    # symplectic._scaled_ints is the one exact float-to-int path: the invariants and
+    # minimize_L's limit read it, and a second conversion could round differently
+    found = {path.name: references_to(path, "frexp") for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines and name != "symplectic.py"} == {}
+    assert found["symplectic.py"]

@@ -5,10 +5,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from cvwitness import families, fock, witness
+from cvwitness import criteria, families, fock, witness
+from cvwitness.criteria import Classification
 from cvwitness.errors import NotPhysical, OptimFailure, ValidationError
 from cvwitness.symplectic import StandardForm, six_param_cm, standard_form, validate_cm
 from cvwitness.witness import PositivityMode, SixParamDetect
+
+from test_criteria import boundary_cm
 
 
 def test_detect_operator_positivity_check():
@@ -229,6 +232,45 @@ def test_minimize_L_on_boundary_states():
         g = validate_cm(families.squeezed_thermal_cm(a, a, c))
         lval, _ = witness.minimize_L(g)
         assert lval == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("delta", [1e-16, -1e-16, 1e-15, -1e-15])
+def test_minimize_L_limit_is_exact_at_the_boundary(delta):
+    # the exact Simon margin of these CMs is 0, and so is the limit's margin; in
+    # float, (b+1)/2 - c^2/(2(a-1)) at a = 2e14 read L = 0.984375, "entangled"
+    lval, best = witness.minimize_L(boundary_cm(delta))
+    assert best is None and lval == 1.0
+    assert criteria.determinant_ratio(lval).classification is Classification.BOUNDARY
+
+
+def seeded_limit_forms(count=20000):
+    """Seeded standard forms, a, b in [1.01, 10], c1 in [0, 3] and c2 in [-c1, c1]."""
+    rng = np.random.default_rng(7)
+    forms = []
+    for _ in range(count):
+        a, b = rng.uniform(1.01, 10.0, 2)
+        c1 = rng.uniform(0.0, 3.0)
+        forms.append(StandardForm(float(a), float(b), float(c1), float(rng.uniform(-c1, c1))))
+    return forms
+
+
+def exact_limit(sf):
+    """minimize_L's limit 1 + ((a-1)(b-1) - c^2)/(2(a-1)), a >= b and c = (c1 + c2)/2,
+    of a form with c1 >= |c2|, in exact rationals, then correctly rounded."""
+    a, b = (Fraction(x) for x in sorted((sf.a, sf.b), reverse=True))
+    c = (Fraction(sf.c1) + Fraction(sf.c2)) / 2
+    return float(1 + ((a - 1) * (b - 1) - c * c) / (2 * (a - 1)))
+
+
+def test_minimize_L_limit_is_correctly_rounded():
+    # the float formula gave the correctly rounded limit on 17321 of these 18493
+    won = []
+    for sf in seeded_limit_forms():
+        lval, best = witness.minimize_L(sf)
+        if best is None:
+            won.append((sf, lval))
+    assert len(won) > 18000  # 18493 when written
+    assert [lval for _, lval in won] == [exact_limit(sf) for sf, _ in won]
 
 
 def test_minimize_L_signs():
