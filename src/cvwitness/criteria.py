@@ -312,14 +312,17 @@ def kernel_verdict(gamma):
     The last closed form family_verdicts keeps for the standard form
     (symmetric before squeezed thermal) against the Simon margin of the CM's
     own invariants, else the determinant-ratio bound that witness.minimize_L
-    gives on that same standard form.
+    gives on that same standard form. A separable state has L >= 1, so an
+    L below 1 where that exact margin is positive comes from rounding the
+    form: the Simon verdict is returned instead.
     """
     cm = gamma if isinstance(gamma, CovarianceMatrix) else validate_cm(gamma)
     if cm.n != 2:
         raise ValueError("kernel classification is defined for two-mode states")
     sf = standard_form(cm)
-    closed = family_verdicts(sf, simon_criterion(cm).margin)
-    return closed[-1] if closed else determinant_ratio(witness.minimize_L(sf)[0])
+    simon = simon_criterion(cm)
+    closed = family_verdicts(sf, simon.margin) or [determinant_ratio(witness.minimize_L(sf)[0])]
+    return simon if closed[-1].margin < 0 < simon.margin else closed[-1]
 
 
 def refined_ww_check(gamma, *locals_):

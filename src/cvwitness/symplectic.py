@@ -183,32 +183,35 @@ def require_psd(least):
         raise NotPhysical(least)
 
 
+def _moduli(g):
+    """Eigenvalue moduli of i*sigma*g, descending, as Python floats; for a
+    symmetric g they come in +/- pairs of equal modulus."""
+    w = np.linalg.eigvals(1j * _symplectic_form(len(g) // 2) @ g)
+    return sorted(np.abs(w).tolist(), reverse=True)
+
+
 def symplectic_eigenvalues(cm):
     """Symplectic spectrum: positive eigenvalue moduli of i*sigma*gamma, descending.
 
     Two modes take _two_mode_spectrum, exact up to one rounding each, at any
-    scale; more modes the eigenvalues of i*sigma*gamma.
+    scale; more modes one modulus per pair of _moduli.
     """
     if cm.n == 2:
         return list(_two_mode_spectrum(cm, transpose=False))
-    g = cm.entries
-    n = cm.n
-    w = np.linalg.eigvals(1j * _symplectic_form(n) @ g)
-    mods = np.sort(np.abs(w))[::-1]
-    # eigenvalues come in +/- pairs of equal modulus
-    return [float(mods[2 * k]) for k in range(n)]
+    return _moduli(cm.entries)[::2]
 
 
 def partial_transpose(cm, partition):
-    """Sign-flip the momenta of party-B modes.
+    """Sign-flip the momenta of the modes of the partition's second party.
 
+    Raises ValueError unless partition is a bipartition of the CM's own modes.
     Returns a raw matrix: the output may violate gamma + i*sigma >= 0,
     which is exactly what a PPT test inspects.
     """
     labels = partition.labels
-    if len(labels) != 2:
-        raise ValueError("partial transpose needs a bipartite partition")
-    flip = np.ones(2 * partition.n)
+    if partition.n != cm.n or len(labels) != 2:
+        raise ValueError("partial transpose needs a bipartition of the CM's modes")
+    flip = np.ones(2 * cm.n)
     for m in partition.modes_of(labels[1]):
         flip[2 * m + 1] = -1.0
     return flip[:, None] * cm.entries * flip
@@ -217,17 +220,13 @@ def partial_transpose(cm, partition):
 def min_pt_symplectic_eigenvalue(cm, partition=None):
     """Smallest symplectic eigenvalue of the partial transpose (PPT statistic).
 
-    Two modes have the one partition 1|1 and take _two_mode_spectrum, exact up
-    to one rounding at any scale; more modes take the eigenvalues of
-    i*sigma*gamma^T_B.
+    Two modes, with no partition or one of two modes, take _two_mode_spectrum,
+    exact up to one rounding at any scale; otherwise the least of _moduli of
+    partial_transpose across partition, 1|(n-1) by default.
     """
-    if cm.n == 2:
+    if cm.n == 2 and (partition is None or partition.n == 2):
         return _two_mode_spectrum(cm, transpose=True)[1]
-    if partition is None:
-        partition = ModePartition.bipartite(1, cm.n - 1)
-    gt = partial_transpose(cm, partition)
-    w = np.abs(np.linalg.eigvals(1j * _symplectic_form(cm.n) @ gt))
-    return float(np.min(w))
+    return _moduli(partial_transpose(cm, partition or ModePartition.bipartite(1, cm.n - 1)))[-1]
 
 
 # guard bits of the integer square roots, below the one rounding to float

@@ -210,13 +210,13 @@ MUTATIONS = [
         tests=("tests/test_symplectic.py::test_standard_form_rejects_negative_definite_block[0]",
                "tests/test_symplectic.py::test_standard_form_rejects_negative_definite_block[2]"),
     ),
-    # kernel_verdict filters its closed forms by the Simon margin of its rounded
+    # kernel_verdict filters and guards its words by the Simon margin of its rounded
     # standard form's rebuilt CM, a second set of invariants, not by the kernel's own
     Mutation(
         id="kernel-filter-of-the-rounded-form",
         file="src/cvwitness/criteria.py",
-        old="    closed = family_verdicts(sf, simon_criterion(cm).margin)\n",
-        new="    closed = family_verdicts(sf, simon_criterion(sf).margin)\n",
+        old="    simon = simon_criterion(cm)\n",
+        new="    simon = simon_criterion(sf)\n",
         tests=("tests/test_criteria.py::test_kernel_closed_forms_never_oppose_the_exact_margin",
                "tests/test_criteria.py::test_kernel_verdict_forms_the_invariants_once[closed]",
                "tests/test_criteria.py::test_kernel_verdict_forms_the_invariants_once[L]"),
@@ -241,6 +241,38 @@ MUTATIONS = [
         old="    c1, c2 = max(abs(c1), abs(c2)), math.copysign(min(abs(c1), abs(c2)), c1 * c2)\n",
         new="",
         tests=("tests/test_witness.py::test_minimize_L_of_a_standard_form_is_that_of_its_cm",),
+    ),
+    # the multimode spectrum as the first n moduli of i sigma gamma, not one per
+    # +/- pair: nu_1 twice, and nu_n never
+    Mutation(
+        id="multimode-spectrum-whole-pairs",
+        file="src/cvwitness/symplectic.py",
+        old="    return _moduli(cm.entries)[::2]\n",
+        new="    return _moduli(cm.entries)[:cm.n]\n",
+        tests=("tests/test_symplectic.py::test_multimode_spectrum_is_the_williamson_spectrum[3]",
+               "tests/test_symplectic.py::test_multimode_spectrum_is_the_williamson_spectrum[4]"),
+    ),
+    # partial_transpose checks the party count only: a partition of another mode
+    # count flips the momenta it names and gives a number
+    Mutation(
+        id="partition-size-unchecked",
+        file="src/cvwitness/symplectic.py",
+        old="    if partition.n != cm.n or len(labels) != 2:\n",
+        new="    if len(labels) != 2:\n",
+        tests=("tests/test_symplectic.py::test_ppt_statistic_refuses_a_partition_that_is_not_a_"
+               "bipartition_of_the_modes[three-labels-on-two-modes]",
+               "tests/test_symplectic.py::test_ppt_statistic_refuses_a_partition_that_is_not_a_"
+               "bipartition_of_the_modes[two-labels-on-three-modes]"),
+    ),
+    # kernel_verdict returns its closed form or L word unguarded: L of a rounded
+    # standard form can read below 1 where the kernel's exact Simon margin is positive
+    Mutation(
+        id="kernel-ratio-word-unguarded",
+        file="src/cvwitness/criteria.py",
+        old="    return simon if closed[-1].margin < 0 < simon.margin else closed[-1]\n",
+        new="    return closed[-1]\n",
+        tests=("tests/test_criteria.py::"
+               "test_kernel_words_never_call_a_separable_kernel_entangled",),
     ),
 ]
 

@@ -200,6 +200,19 @@ def test_kernel_closed_forms_never_oppose_the_exact_margin():
     assert opposed == []
 
 
+def test_kernel_words_never_call_a_separable_kernel_entangled():
+    # a separable state has L >= 1, and a kept closed form agrees in sign with the
+    # exact margin: below 0 where that margin is above 0, any word is a rounding.
+    # L of seed 7 #372's rounded standard form read -2.0e-12 where the margin is +0.453
+    wrong = []
+    for seed in (5, 6, 7, 8):
+        for i, cm in enumerate(raw_edge_cms(seed)):
+            v = criteria.kernel_verdict(cm)
+            if v.margin < 0 < exact_cm_simon(cm.entries):
+                wrong.append((seed, i, v))
+    assert wrong == []
+
+
 @pytest.mark.parametrize("form", [StandardForm(3.0, 2.0, 1.0, 1.0),
                                   StandardForm(3.0, 2.0, 1.0, 0.5)], ids=["closed", "L"])
 def test_kernel_verdict_forms_the_invariants_once(monkeypatch, form):

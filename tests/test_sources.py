@@ -70,3 +70,10 @@ def test_only_symplectic_turns_floats_into_ints():
     found = {path.name: references_to(path, "frexp") for path in SOURCES}
     assert {name: lines for name, lines in found.items() if lines and name != "symplectic.py"} == {}
     assert found["symplectic.py"]
+
+
+def test_one_eigenvalue_moduli_path():
+    # symplectic._moduli is the one place that takes the eigenvalues of i sigma g:
+    # the multimode spectrum and the PPT statistic both read it
+    found = {path.name: calls_to(path, "eigvals") for path in SOURCES}
+    assert [(name, len(lines)) for name, lines in found.items() if lines] == [("symplectic.py", 1)]

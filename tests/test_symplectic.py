@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag, expm
 
-from cvwitness import families, symplectic
+from cvwitness import criteria, families, symplectic
 from cvwitness.errors import (DegenerateBlock, NotPhysical, NotSymmetric, OddDimension,
                               SingularSum, ValidationError)
 from cvwitness.symplectic import (
@@ -709,3 +710,76 @@ def test_near_degenerate_two_mode_spectra_against_60_digit_oracle():
     # of the invariants before the square root shows
     for sf in near_degenerate_standard_forms():
         assert_spectra_match_oracle(validate_cm(sf.to_cm()))
+
+
+def random_symplectic(rng, n, scale=0.3):
+    """expm(J H) for a seeded symmetric 2n x 2n H: a symplectic matrix, with J
+    built here, not taken from the package."""
+    j = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
+    h = rng.normal(scale=scale, size=(2 * n, 2 * n))
+    return expm(j @ (h + h.T))
+
+
+def williamson_cm(rng, nu):
+    """S diag(nu_1, nu_1, ..., nu_n, nu_n) S^T for a random symplectic S: a CM
+    whose symplectic spectrum is nu by Williamson's theorem."""
+    s = random_symplectic(rng, len(nu))
+    return s @ np.diag(np.repeat(nu, 2)) @ s.T
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_multimode_spectrum_is_the_williamson_spectrum(n):
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        nu = sorted(rng.uniform(1.0, 5.0, n).tolist(), reverse=True)
+        cm = validate_cm(williamson_cm(rng, nu))
+        assert symplectic_eigenvalues(cm) == pytest.approx(nu, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n_a, n_b", [(1, 2), (2, 2), (1, 3)])
+def test_ppt_statistic_is_invariant_under_local_symplectics_and_party_swap(n_a, n_b):
+    # the swap lists B's modes first, so that the transpose falls on A's momenta
+    rng = np.random.default_rng(10 * n_a + n_b)
+    part, swapped = ModePartition.bipartite(n_a, n_b), ModePartition.bipartite(n_b, n_a)
+    order = [2 * m + q for m in [*range(n_a, n_a + n_b), *range(n_a)] for q in (0, 1)]
+    for _ in range(50):
+        g = williamson_cm(rng, rng.uniform(1.0, 3.0, n_a + n_b))
+        nu = min_pt_symplectic_eigenvalue(validate_cm(g), part)
+        local = block_diag(random_symplectic(rng, n_a), random_symplectic(rng, n_b))
+        dressed = validate_cm(local @ g @ local.T)
+        assert min_pt_symplectic_eigenvalue(dressed, part) == pytest.approx(nu, rel=1e-11)
+        reordered = validate_cm(g[np.ix_(order, order)])
+        assert min_pt_symplectic_eigenvalue(reordered, swapped) == pytest.approx(nu, rel=1e-11)
+
+
+@pytest.mark.parametrize("n_a, n_b", [(1, 2), (2, 2)])
+def test_ppt_statistic_of_a_product_state_is_its_least_local_eigenvalue(n_a, n_b):
+    # the partial transpose maps g_B to another CM with g_B's symplectic spectrum
+    rng = np.random.default_rng(20 + 10 * n_a + n_b)
+    for _ in range(50):
+        nu_a, nu_b = rng.uniform(1.0, 4.0, n_a), rng.uniform(1.0, 4.0, n_b)
+        cm = validate_cm(block_diag(williamson_cm(rng, nu_a), williamson_cm(rng, nu_b)))
+        got = min_pt_symplectic_eigenvalue(cm, ModePartition.bipartite(n_a, n_b))
+        assert got == pytest.approx(min(nu_a.min(), nu_b.min()), rel=1e-12)
+
+
+def test_werner_wolf_example_is_ppt_yet_entangled():
+    # Werner & Wolf's (A..F) = (2, 1, 2, 4, 1, 1) across its 2|2 partition: the least
+    # symplectic eigenvalue of the partial transpose is exactly 1, so Simon's test
+    # does not decide, yet the closed form reads entangled
+    p = criteria.WernerWolf2x2Params(2.0, 1.0, 2.0, 4.0, 1.0, 1.0)
+    cm = validate_cm(p.to_cm())
+    nu = min_pt_symplectic_eigenvalue(cm, ModePartition(("A", "A", "B", "B")))
+    assert nu == pytest.approx(1.0, rel=0, abs=1e-12)
+    verdict = criteria.werner_wolf_2x2(p)
+    assert verdict.margin == -2.0 and verdict.entangled
+
+
+@pytest.mark.parametrize("n, parties", [(2, ("A", "B", "A")), (3, ("A", "B")),
+                                        (3, ("A", "B", "C"))],
+                         ids=["three-labels-on-two-modes", "two-labels-on-three-modes",
+                              "three-parties"])
+def test_ppt_statistic_refuses_a_partition_that_is_not_a_bipartition_of_the_modes(n, parties):
+    cm = validate_cm(2.0 * np.eye(2 * n))
+    with pytest.raises(ValueError, match="needs a bipartition of the CM's modes"):
+        min_pt_symplectic_eigenvalue(cm, ModePartition(parties))
