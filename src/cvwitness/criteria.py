@@ -61,7 +61,7 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class WernerWolf2x2Params:
+class WernerWolf2x2Params(symplectic._ParamState):
     """Scalars of the generalized Werner-Wolf covariance matrix."""
 
     A: float
@@ -74,13 +74,9 @@ class WernerWolf2x2Params:
     def to_cm(self):
         return families.werner_wolf_cm(self.A, self.B, self.C, self.D, self.E, self.F)
 
-    def validate(self):
-        validate_cm(self.to_cm())
-        return self
-
 
 @dataclass(frozen=True)
-class SymmetricMultimodeParams:
+class SymmetricMultimodeParams(symplectic._ParamState):
     n: int
     a: float
     b: float
@@ -93,12 +89,11 @@ class SymmetricMultimodeParams:
     def validate(self):
         if self.c1 <= 0 or self.c2 <= 0:
             raise ValueError("the symmetric family is stated for c1 > 0, c2 > 0")
-        validate_cm(self.to_cm())
-        return self
+        return super().validate()
 
 
 @dataclass(frozen=True)
-class GHZParams:
+class GHZParams(symplectic._ParamState):
     """The n-mode GHZ-type family: diagonal a, coupling c (see ghz_full_sep)."""
 
     n: int
@@ -107,10 +102,6 @@ class GHZParams:
 
     def to_cm(self):
         return families.ghz_cm(self.n, self.a, self.c)
-
-    def validate(self):
-        validate_cm(self.to_cm())
-        return self
 
 
 def family_match(u, v):
@@ -329,12 +320,13 @@ def refined_ww_check(gamma, *locals_):
     """True iff gamma - (direct sum of pure local CMs) is positive semidefinite.
 
     Each local CM must be pure (determinant 1 within LOCAL_DET_TOL); works for
-    any number of parties.
+    any number of parties. A raw array, gamma or local, passes validate_cm
+    first, as in kernel_verdict; a CovarianceMatrix is taken as it is.
     """
-    g = gamma.entries if isinstance(gamma, CovarianceMatrix) else np.asarray(gamma, float)
+    g = (gamma if isinstance(gamma, CovarianceMatrix) else validate_cm(gamma)).entries
     blocks = []
     for loc in locals_:
-        m = loc.entries if isinstance(loc, CovarianceMatrix) else np.asarray(loc, float)
+        m = (loc if isinstance(loc, CovarianceMatrix) else validate_cm(loc)).entries
         d = np.linalg.det(m)
         if abs(d - 1.0) > LOCAL_DET_TOL:
             raise ImpureLocalCM(f"local CM determinant {d!r} deviates from 1")

@@ -115,8 +115,17 @@ class ModePartition:
         return ModePartition(("A",) * n_a + ("B",) * n_b)
 
 
+class _ParamState:
+    """A state given by parameters whose to_cm() builds its CM. validate() returns
+    the state iff that CM passes validate_cm, and raises what validate_cm raises."""
+
+    def validate(self):
+        validate_cm(self.to_cm())
+        return self
+
+
 @dataclass(frozen=True)
-class StandardForm:
+class StandardForm(_ParamState):
     """Two-mode standard form (a, a | b, b) diagonal blocks, diag(c1, -c2) coupling.
 
     Construction raises ValidationError unless a^2 + b^2 + c1^2 + c2^2 is finite.
@@ -140,10 +149,6 @@ class StandardForm:
     def invariants(self):
         """two_mode_invariants of to_cm(), computed once: the form is frozen."""
         return two_mode_invariants(self.to_cm())
-
-    def validate(self):
-        validate_cm(self.to_cm())
-        return self
 
 
 def validate_cm(entries):

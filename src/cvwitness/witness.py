@@ -142,8 +142,9 @@ def lambda_product_vacuum(d):
 
 
 def L_ratio(gamma, d):
-    """det(gamma + gamma_M) / min_{x,y} det(diag(x,1/x,y,1/y) + gamma_M)."""
-    g = gamma.entries if isinstance(gamma, CovarianceMatrix) else np.asarray(gamma, float)
+    """det(gamma + gamma_M) / min_{x,y} det(diag(x,1/x,y,1/y) + gamma_M). A raw array
+    gamma passes validate_cm first; a CovarianceMatrix is taken as it is."""
+    g = (gamma if isinstance(gamma, CovarianceMatrix) else validate_cm(gamma)).entries
     numer = float(np.linalg.det(g + d.cm()))
     lam, _, _ = lambda_product_vacuum(d)
     return numer / (16.0 / lam**2)

@@ -274,6 +274,34 @@ MUTATIONS = [
         tests=("tests/test_criteria.py::"
                "test_kernel_words_never_call_a_separable_kernel_entangled",),
     ),
+    # L_ratio coerces a raw gamma without validate_cm: a non-state reads as a witness value
+    Mutation(
+        id="raw-state-unvalidated",
+        file="src/cvwitness/witness.py",
+        old=("    g = (gamma if isinstance(gamma, CovarianceMatrix)"
+             " else validate_cm(gamma)).entries\n"),
+        new=("    g = gamma.entries if isinstance(gamma, CovarianceMatrix)"
+             " else np.asarray(gamma, float)\n"),
+        tests=("tests/test_witness.py::test_L_ratio_refuses_a_raw_array_that_is_not_a_state"
+               "[minus-three-identity]",
+               "tests/test_witness.py::test_L_ratio_refuses_a_raw_array_that_is_not_a_state"
+               "[negative-first-block]"),
+    ),
+    # the one validate of a parameterized state returns it unchecked: an unphysical
+    # standard form or named family parses and is decided
+    Mutation(
+        id="state-validate-skipped",
+        file="src/cvwitness/symplectic.py",
+        old="        validate_cm(self.to_cm())\n        return self\n",
+        new="        return self\n",
+        tests=tuple(f"tests/test_cli.py::{name}" for name in (
+            "test_parse_state_rejects_invalid_family_input[doc0-/standard_form]",
+            "test_parse_state_rejects_invalid_family_input[doc3-]",
+            "test_parse_state_rejects_invalid_family_input[doc4-]",
+            "test_parse_state_rejects_invalid_family_input[doc6-]",
+            "test_check_gaussian_unphysical_family_exit_code[doc0]",
+            "test_check_gaussian_unphysical_family_exit_code[doc1]")),
+    ),
 ]
 
 

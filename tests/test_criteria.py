@@ -18,6 +18,7 @@ from cvwitness.errors import (
     ImpureLocalCM,
     NegativeC,
     NotPhysical,
+    NotSymmetric,
     SchemaError,
     ValidationError,
 )
@@ -384,6 +385,26 @@ def test_refined_ww_check_direct():
     assert criteria.refined_ww_check(g, np.eye(2), np.eye(2))
     with pytest.raises(ImpureLocalCM):
         criteria.refined_ww_check(g, 2.0 * np.eye(2), np.eye(2))
+
+
+def test_refined_ww_check_refuses_raw_arrays_that_are_not_symmetric():
+    # eigvalsh reads one triangle, so unvalidated both read as a separability certificate
+    skewed = 3.0 * np.eye(4)
+    skewed[0, 2] = 50.0
+    with pytest.raises(NotSymmetric):
+        criteria.refined_ww_check(skewed, np.eye(2), np.eye(2))
+    with pytest.raises(NotSymmetric):
+        criteria.refined_ww_check(3.0 * np.eye(4), np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2))
+
+
+def test_refined_ww_check_takes_covariance_matrices_as_validated(monkeypatch):
+    cms = [validate_cm(3.0 * np.eye(4)), validate_cm(np.eye(2)), validate_cm(np.eye(2))]
+
+    def refuse(entries):
+        raise AssertionError("a CovarianceMatrix was validated again")
+
+    monkeypatch.setattr(criteria, "validate_cm", refuse)
+    assert criteria.refined_ww_check(*cms)
 
 
 def test_refined_ww_search_finds_certificate_for_separable():

@@ -77,3 +77,12 @@ def test_one_eigenvalue_moduli_path():
     # the multimode spectrum and the PPT statistic both read it
     found = {path.name: calls_to(path, "eigvals") for path in SOURCES}
     assert [(name, len(lines)) for name, lines in found.items() if lines] == [("symplectic.py", 1)]
+
+
+def test_one_validate_for_every_parameterized_state():
+    # symplectic._ParamState.validate is the one rule for a state given by
+    # parameters: valid iff its CM passes validate_cm
+    found = [(path.name, node.lineno) for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and ast.unparse(node) == "validate_cm(self.to_cm())"]
+    assert [name for name, _ in found] == ["symplectic.py"], found

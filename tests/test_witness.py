@@ -165,6 +165,62 @@ def test_lambda_is_grid_minimum():
                 )
 
 
+def mp_lambda_product_vacuum(d):
+    """(Lambda, x*, y*) of d at the working mpmath precision, from M1..M6 alone: with
+    alpha = M3 + y, gamma = M4 + 1/y, beta = M1 alpha - M5^2 and delta = M2 gamma - M6^2,
+    the determinant (alpha x + beta)(gamma / x + delta) is least over x at
+    x* = sqrt(beta gamma / (alpha delta)), where its root is h = sqrt(alpha gamma) +
+    sqrt(beta delta); t = log y* is the root of dh/dt, bracketed by doubling from +-1
+    and found by mpmath's Anderson-Bjorck iteration, and Lambda = 4 / h."""
+    m1, m2, m3, m4, m5, m6 = map(mpmath.mpf, (d.m1, d.m2, d.m3, d.m4, d.m5, d.m6))
+
+    def parts(t):
+        y = mpmath.exp(t)
+        alpha, gamma = m3 + y, m4 + 1 / y
+        return y, alpha, gamma, m1 * alpha - m5**2, m2 * gamma - m6**2
+
+    def slope(t):
+        y, alpha, gamma, beta, delta = parts(t)
+        return ((y * gamma - alpha / y) / (2 * mpmath.sqrt(alpha * gamma))
+                + (m1 * y * delta - m2 * beta / y) / (2 * mpmath.sqrt(beta * delta)))
+
+    lo, hi = mpmath.mpf(-1), mpmath.mpf(1)
+    while slope(lo) > 0:
+        lo *= 2
+    while slope(hi) < 0:
+        hi *= 2
+    y, alpha, gamma, beta, delta = parts(mpmath.findroot(slope, (lo, hi), solver="anderson"))
+    h = mpmath.sqrt(alpha * gamma) + mpmath.sqrt(beta * delta)
+    return 4 / h, mpmath.sqrt(beta * gamma / (alpha * delta)), y
+
+
+def worst_lambda_errors(ops):
+    """Worst relative errors of lambda_product_vacuum's (Lambda, x*, y*) over ops
+    against mp_lambda_product_vacuum at 40 digits."""
+    worst = [0.0, 0.0, 0.0]
+    with mpmath.workdps(40):
+        for d in ops:
+            for i, (got, want) in enumerate(zip(witness.lambda_product_vacuum(d),
+                                                mp_lambda_product_vacuum(d))):
+                worst[i] = max(worst[i], float(abs(got / want - 1)))
+    return worst
+
+
+def test_lambda_against_40_digit_root_of_the_slope():
+    # an oracle that shares no root finder with the package: bounds are twice the
+    # worst errors measured with Brent's method
+    random_ops = [fock.random_detect_operator(seed) for seed in range(300)]
+    lam, x, y = worst_lambda_errors(random_ops)
+    assert lam <= 1.1e-15 and x <= 1.9e-15 and y <= 3.1e-15
+    schedule_ops = [witness._schedule_detect(m1, u)
+                    for m1, hi in zip(witness._SCHEDULE_M1, witness._SCHEDULE_HI)
+                    for u in np.linspace(1e-4, hi, 50)]
+    # Lambda of a near-singular schedule operator loses digits in the float
+    # determinant (5.4e-13 measured); its symmetric blocks put the optimum at x = y = 1
+    assert worst_lambda_errors(schedule_ops)[0] <= 1.1e-12
+    assert {witness.lambda_product_vacuum(d)[1:] for d in schedule_ops} == {(1.0, 1.0)}
+
+
 @pytest.mark.parametrize("params, lam, xy", [
     ((1.0, 1.0, 1.0, 1.0, 1.0, 1.0), 4.0 / 3.0, 1.0),
     ((1.0, 1.0, 1.0, 1.0, 1.0, 0.0), None, 0.5 * (np.sqrt(5.0) - 1.0)),
@@ -224,6 +280,27 @@ def test_lambda_vacuum_detect():
 def test_L_ratio_vacuum_state_vacuum_detect():
     d = SixParamDetect(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, PositivityMode.OPERATOR_PSD)
     assert witness.L_ratio(np.eye(4), d) == pytest.approx(1.0, abs=1e-9)
+
+
+VACUUM_DETECT = SixParamDetect(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, PositivityMode.OPERATOR_PSD)
+
+
+@pytest.mark.parametrize("gamma", [-3.0 * np.eye(4), np.diag([-0.5, -0.5, 5.0, 5.0])],
+                         ids=["minus-three-identity", "negative-first-block"])
+def test_L_ratio_refuses_a_raw_array_that_is_not_a_state(gamma):
+    # unvalidated, these read L = 1 and L = 0.5625, the second an entangled word
+    with pytest.raises(NotPhysical):
+        witness.L_ratio(gamma, VACUUM_DETECT)
+
+
+def test_L_ratio_takes_a_covariance_matrix_as_validated(monkeypatch):
+    cm = validate_cm(np.eye(4))
+
+    def refuse(entries):
+        raise AssertionError("a CovarianceMatrix was validated again")
+
+    monkeypatch.setattr(witness, "validate_cm", refuse)
+    assert witness.L_ratio(cm, VACUUM_DETECT) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_minimize_L_on_boundary_states():
