@@ -156,8 +156,6 @@ def _emit_report(report, output):
 
 
 def _load_input(path):
-    if path is None:
-        raise SchemaError("this command requires --input")
     with open(path) as fh:
         return json.load(fh)
 
@@ -238,13 +236,12 @@ def cmd_kernel_spectrum(args):
         k = kernelspec.KernelSpec(alpha=alpha, r=r)
     except ValueError as exc:
         raise SchemaError(f"invalid KernelSpec: {exc}")
-    count = args.cutoff if args.cutoff is not None else 10
     vals = kernelspec.nystrom_spectrum(k)
-    if count > len(vals):
-        raise SchemaError(f"--cutoff {count} exceeds the {len(vals)} Nystrom eigenvalues")
+    if args.cutoff > len(vals):
+        raise SchemaError(f"--cutoff {args.cutoff} exceeds the {len(vals)} Nystrom eigenvalues")
     rows = [
         (n, float(vals[n]), kernelspec.analytic_eigenvalue(k, n))
-        for n in range(count)
+        for n in range(args.cutoff)
     ]
     if args.output:
         _write_csv(args.output, ["n", "nystrom", "analytic"], rows)
@@ -254,16 +251,13 @@ def cmd_kernel_spectrum(args):
 
 
 def cmd_fock_iterate(args):
-    if args.seed is None:
-        raise SchemaError("fock-iterate requires --seed")
-    cutoff = args.cutoff if args.cutoff is not None else 6
     d = fock.iteration_detect(fock.random_detect_operator(args.seed))
-    op = fock.fock_elements(d, cutoff)
+    op = fock.fock_elements(d, args.cutoff)
     res = fock.alternate_maximize(op, seed=args.seed)
     report = {
         "command": "fock-iterate",
         "seed": args.seed,
-        "cutoff": cutoff,
+        "cutoff": args.cutoff,
         "m0": res.m0,
         "rounds": res.rounds,
         "converged": res.converged,
@@ -277,13 +271,7 @@ def cmd_fock_iterate(args):
 
 
 def cmd_sweep_fig1(args):
-    if args.seed is None:
-        raise SchemaError("sweep-fig1 requires --seed")
-    if args.output is None:
-        raise SchemaError("sweep-fig1 requires --output")
-    samples = args.samples if args.samples is not None else 200
-    cutoff = args.cutoff if args.cutoff is not None else 6
-    rows, failures = fock.sweep_fig1(samples, cutoff=cutoff, seed=args.seed)
+    rows, failures = fock.sweep_fig1(args.samples, cutoff=args.cutoff, seed=args.seed)
     _write_csv(
         args.output,
         ["seed", "avg_photon", "m0", "rounds", "converged"],
@@ -309,8 +297,6 @@ def _fig2_row(n_th, r):
 
 
 def cmd_sweep_fig2(args):
-    if args.output is None:
-        raise SchemaError("sweep-fig2 requires --output")
     doc = _load_input(args.input) if args.input else {}
     if not isinstance(doc, dict):
         raise SchemaError("the sweep grid must be a JSON object")
@@ -362,15 +348,20 @@ def _int_at_least(lo):
 _FLAG_TYPES = {"seed": _int_at_least(0), "cutoff": _int_at_least(1),
                "samples": _int_at_least(1), "schedule": _parse_schedule}
 
-# each subcommand declares only the flags its handler reads
+# the default of a flag its subcommand cannot run without
+_REQUIRED = object()
+
+# each subcommand declares only the flags its handler reads, each with its default
 _COMMANDS = {
-    "check-gaussian": (cmd_check_gaussian, ("input", "output")),
-    "check-nongaussian": (cmd_check_nongaussian, ("input", "output", "schedule")),
-    "witness-optimize": (cmd_witness_optimize, ("input", "output")),
-    "kernel-spectrum": (cmd_kernel_spectrum, ("input", "output", "cutoff")),
-    "fock-iterate": (cmd_fock_iterate, ("seed", "cutoff", "output")),
-    "sweep-fig1": (cmd_sweep_fig1, ("seed", "output", "samples", "cutoff")),
-    "sweep-fig2": (cmd_sweep_fig2, ("input", "output")),
+    "check-gaussian": (cmd_check_gaussian, {"input": _REQUIRED, "output": None}),
+    "check-nongaussian": (cmd_check_nongaussian,
+                          {"input": _REQUIRED, "output": None, "schedule": None}),
+    "witness-optimize": (cmd_witness_optimize, {"input": _REQUIRED, "output": None}),
+    "kernel-spectrum": (cmd_kernel_spectrum, {"input": _REQUIRED, "output": None, "cutoff": 10}),
+    "fock-iterate": (cmd_fock_iterate, {"seed": _REQUIRED, "cutoff": 6, "output": None}),
+    "sweep-fig1": (cmd_sweep_fig1,
+                   {"seed": _REQUIRED, "output": _REQUIRED, "samples": 200, "cutoff": 6}),
+    "sweep-fig2": (cmd_sweep_fig2, {"input": None, "output": _REQUIRED}),
 }
 
 
@@ -382,8 +373,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        for flag in flags:
-            p.add_argument(f"--{flag}", type=_FLAG_TYPES.get(flag))
+        for flag, default in flags.items():
+            p.add_argument(f"--{flag}", type=_FLAG_TYPES.get(flag), default=default)
         p.set_defaults(handler=handler)
     return parser
 
@@ -391,6 +382,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        for flag, value in vars(args).items():
+            if value is _REQUIRED:
+                raise SchemaError(f"{args.command} requires --{flag}")
         return args.handler(args)
     except CVWitnessError as exc:
         print(f"error: {exc}", file=sys.stderr)

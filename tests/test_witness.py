@@ -7,10 +7,11 @@ import pytest
 
 from cvwitness import criteria, families, fock, witness
 from cvwitness.criteria import Classification
-from cvwitness.errors import NotPhysical, OptimFailure, ValidationError
+from cvwitness.errors import NotPhysical, NotSymmetric, OptimFailure, ValidationError
 from cvwitness.symplectic import StandardForm, six_param_cm, standard_form, validate_cm
 from cvwitness.witness import PositivityMode, SixParamDetect
 
+from test_cli import C10
 from test_criteria import boundary_cm
 
 
@@ -301,6 +302,35 @@ def test_L_ratio_takes_a_covariance_matrix_as_validated(monkeypatch):
 
     monkeypatch.setattr(witness, "validate_cm", refuse)
     assert witness.L_ratio(cm, VACUUM_DETECT) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("gamma", [np.eye(4), C10], ids=["identity", "C10"])
+def test_minimize_L_of_a_raw_array_is_that_of_its_validated_cm(gamma):
+    # value and operator: the raw array is the state validate_cm makes of it
+    assert witness.minimize_L(gamma) == witness.minimize_L(validate_cm(gamma))
+
+
+@pytest.mark.parametrize("gamma, error", [
+    (-3.0 * np.eye(4), NotPhysical),
+    (np.diag([-0.5, -0.5, 5.0, 5.0]), NotPhysical),
+    (np.array(C10) + np.triu(np.full((4, 4), 0.5), 1), NotSymmetric),
+], ids=["minus-three-identity", "negative-first-block", "asymmetric"])
+def test_minimize_L_refuses_a_raw_array_that_is_not_a_state(gamma, error):
+    # unvalidated, the first two meet standard_form's DegenerateBlock and the
+    # third gets an L of its own
+    with pytest.raises(error):
+        witness.minimize_L(gamma)
+
+
+def test_minimize_L_takes_a_covariance_matrix_as_validated(monkeypatch):
+    cm = validate_cm(C10)
+    expected = witness.minimize_L(cm)
+
+    def refuse(entries):
+        raise AssertionError("a CovarianceMatrix was validated again")
+
+    monkeypatch.setattr(witness, "validate_cm", refuse)
+    assert witness.minimize_L(cm) == expected
 
 
 def test_minimize_L_on_boundary_states():
