@@ -80,7 +80,7 @@ def parse_state(doc, location=""):
             raise SchemaError("'cm' entries must be numbers", f"{location}/cm")
         try:
             mat = np.array(rows, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise SchemaError(f"'cm' is not numeric: {exc}", f"{location}/cm")
         try:
             return validate_cm(mat)

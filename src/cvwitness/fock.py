@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import SingularMatrix, StationarityViolated
 from .symplectic import _ccm_matrix, gaussian_taylor
-from .witness import PositivityMode, SixParamDetect, detect_determinant, lambda_product_vacuum
+from .witness import PositivityMode, SixParamDetect, lambda_product_vacuum
 
 _SIGMA1_I2 = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
 _SIGMA3_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
@@ -33,7 +33,6 @@ class GeneratingCoeffs:
     k: tuple            # K1..K6 intermediates
     x: float
     y: float
-    sqrt_det_beta: float
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,9 @@ def _generating_matrices(cms, x, y):
 def generating_coeffs(d, x=None, y=None):
     """K and N coefficients at the stationary pre-squeeze parameters.
 
-    When (x, y) are omitted they are obtained from the product-vacuum
-    optimization; the diagonal of T must vanish there.
+    N1..N4 are 2 T_12, Q_11, Q_12 and Q_22 of the exponent [[2T, Q], [Q, 2T]]; its
+    prefactor sqrt(det beta) is Lambda, from lambda_product_vacuum. When (x, y) are
+    omitted they are obtained there too; the diagonal of T must vanish at them.
     """
     if x is None or y is None:
         _, x, y = lambda_product_vacuum(d)
@@ -117,17 +117,14 @@ def generating_coeffs(d, x=None, y=None):
         )
     q = np.eye(2) - 2.0 * c_inv[:2, 2:]
     q = 0.5 * (q + q.T)
-    g = np.block([[2.0 * t, q], [q, 2.0 * t]])
-    sqrt_det_beta = 4.0 / np.sqrt(detect_determinant(d, x, y))
     return GeneratingCoeffs(
-        n1=float(g[0, 1]),
-        n2=float(g[0, 2]),
-        n3=float(g[0, 3]),
-        n4=float(g[1, 3]),
+        n1=float(2.0 * t[0, 1]),
+        n2=float(q[0, 0]),
+        n3=float(q[0, 1]),
+        n4=float(q[1, 1]),
         k=(k1, k2, k3, k4, k5, k6),
         x=float(x),
         y=float(y),
-        sqrt_det_beta=float(sqrt_det_beta),
     )
 
 
@@ -150,8 +147,6 @@ def _summation_terms(g, cutoff):
             m1 = kk + nn + j
             m2 = ll + mm + j
             sel = (k1 < cutoff) & (k2 < cutoff) & (m1 < cutoff) & (m2 < cutoff)
-            if not np.any(sel):
-                continue
             k1s, k2s, m1s, m2s = k1[sel], k2[sel], m1[sel], m2[sel]
             ks, ls, ms, ns = kk[sel], ll[sel], mm[sel], nn[sel]
             log_w = 0.5 * (lg[k1s] + lg[k2s] + lg[m1s] + lg[m2s]) - (

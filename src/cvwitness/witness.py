@@ -21,10 +21,10 @@ _THIRD_TURN = 2.0 * math.pi / 3.0
 
 
 class PositivityMode(enum.Enum):
-    """Which positivity condition a detect operator is required to satisfy."""
+    """A detect operator's one positivity rule, gamma_M >= 0 (it need not be a state's CM).
+    It stays an enum as perfbench/workloads.py passes it to SixParamDetect positionally."""
 
-    OPERATOR_PSD = "gamma_psd"        # gamma_M >= 0
-    QUANTUM_STATE = "quantum_state"   # gamma_M + i*sigma >= 0
+    OPERATOR_PSD = "gamma_psd"  # gamma_M >= 0
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,7 @@ class SixParamDetect:
         params = (self.m1, self.m2, self.m3, self.m4, self.m5, self.m6)
         if not all(map(math.isfinite, params)):
             raise ValidationError("detect operator has a NaN or infinite parameter")
-        if self.positivity is PositivityMode.QUANTUM_STATE:
-            validate_cm(self.cm())
-        else:
-            require_psd(self.least_eigenvalue(*params))
+        require_psd(self.least_eigenvalue(*params))
 
     @staticmethod
     def least_eigenvalue(m1, m2, m3, m4, m5, m6):

@@ -314,6 +314,23 @@ MUTATIONS = [
                     f"[{case}]" for case in ("minus-three-identity", "negative-first-block",
                                              "asymmetric")),
     ),
+    # a detect operator without its one positivity rule: an indefinite gamma_M
+    # is built, and Lambda then meets a negative radicand or determinant
+    Mutation(
+        id="detect-psd-unchecked",
+        file="src/cvwitness/witness.py",
+        old="        require_psd(self.least_eigenvalue(*params))\n",
+        new="",
+        tests=("tests/test_witness.py::test_detect_operator_positivity_check",),
+    ),
+    # a quadratic with complex roots gives no candidate instead of its vertex
+    Mutation(
+        id="quadratic-vertex-dropped",
+        file="src/cvwitness/witness.py",
+        old="            return [-0.5 * d1 / d2]\n",
+        new="            return []\n",
+        tests=("tests/test_witness.py::test_quadratic_without_real_roots_gives_its_vertex",),
+    ),
     # the flag contract's default is the value a handler reads: sweep-fig1 at
     # cutoff 5 writes other bytes
     Mutation(

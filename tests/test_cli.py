@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cvwitness import cli, criteria, nongaussian, symplectic, witness
+from cvwitness import cli, criteria, fock, nongaussian, symplectic, witness
 from cvwitness.criteria import GHZParams, SymmetricMultimodeParams, WernerWolf2x2Params
 from cvwitness.errors import SchemaError, ValidationError
 from cvwitness.nongaussian import NGPASGSpec
@@ -625,6 +625,55 @@ def test_bad_input_values_are_errors_not_tracebacks(tmp_path, capsys, command, t
     assert rc == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("check-gaussian", "[1, 2]", "error: state description must be a JSON object"),
+    ("check-gaussian", '{"standard_form": [1, 2]}',
+     "error: expected a JSON object (at '/standard_form')"),
+    ("check-gaussian", '{"cm": [[1, 0], [0]]}', "error: 'cm' is not numeric"),
+    ("witness-optimize", '{"cm": [[1%s, 0], [0, 1]]}' % ("0" * 400), "error: 'cm' is not numeric"),
+    ("check-nongaussian", json.dumps({
+        "family": "ngpasg", "add": [1, 0], "sub": [0, 0],
+        "kernel": {"family": "werner_wolf_2x2", "A": 2, "B": 2, "C": 2, "D": 2, "E": 0, "F": 0}}),
+     "error: ngpasg kernel must resolve to a covariance matrix"),
+    ("check-gaussian", None, "io error:"),
+], ids=["top-level-array", "standard-form-array", "cm-ragged", "cm-int-beyond-float",
+        "kernel-werner-wolf", "input-missing"])
+def test_refusals_name_their_rule(tmp_path, capsys, command, text, message):
+    # numpy's own text follows "'cm' is not numeric:", so only the prefix is matched
+    inp = tmp_path / "in.json"
+    if text is not None:
+        inp.write_text(text)
+    out = tmp_path / "out.json"
+    rc = cli.main([command, "--input", str(inp), "--output", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith(message) and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["check-nongaussian", "--input", "in.json", "--schedule", "1,x"],
+                                  ["fock-iterate", "--seed", "x"]], ids=["schedule", "seed"])
+def test_flags_that_are_not_numbers_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
+def test_sweep_fig1_records_counterexamples(tmp_path, capsys, monkeypatch):
+    d = witness.SixParamDetect(2.0, 1.0, 1.0, 3.0, 0.5, 0.25, witness.PositivityMode.OPERATOR_PSD)
+    rows = [fock.SweepRow(seed=0, avg_photon=0.5, m0=1.25, rounds=3, converged=False)]
+    monkeypatch.setattr(fock, "sweep_fig1", lambda *args, **kwargs: (rows, [(0, d, 1.25)]))
+    out = tmp_path / "fig1.csv"
+    assert cli.main(["sweep-fig1", "--seed", "1", "--output", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert out.read_text().splitlines() == ["seed,avg_photon,m0,rounds,converged", "0,0.5,1.25,3,0"]
+    assert (tmp_path / "fig1.csv.failures.csv").read_text().splitlines() == [
+        "seed,m1,m2,m3,m4,m5,m6,m0", "0,2,1,1,3,0.5,0.25,1.25"]
+    assert captured.err == "warning: 1 vacuum-optimality counterexamples recorded\n"
+    assert captured.out == f"wrote 1 rows to {out}\n"
 
 
 def test_cold_import_loads_no_oracle_library():

@@ -372,6 +372,11 @@ def test_biseparability_certificate_residuals():
         assert x - 1.0 / x + np.sinh(2 * s) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_biseparability_certificate_rejects_negative_c():
+    with pytest.raises(NegativeC):
+        criteria.biseparability_certificate(2.0, -0.1)
+
+
 def test_biseparability_certificate_margin_shift():
     c = 0.6
     bound = 1.0 - criteria.three_mode_biseparable(1.0, c).margin
@@ -385,6 +390,11 @@ def test_refined_ww_check_direct():
     assert criteria.refined_ww_check(g, np.eye(2), np.eye(2))
     with pytest.raises(ImpureLocalCM):
         criteria.refined_ww_check(g, 2.0 * np.eye(2), np.eye(2))
+
+
+def test_refined_ww_check_refuses_locals_that_do_not_cover_the_modes():
+    with pytest.raises(ValueError, match="do not match the full CM"):
+        criteria.refined_ww_check(np.eye(4), np.eye(2))
 
 
 def test_refined_ww_check_refuses_raw_arrays_that_are_not_symmetric():

@@ -99,6 +99,16 @@ def test_fock_elements_vacuum_entry():
     assert op.tensor[0, 0, 0, 0] == pytest.approx(op.sqrt_det_beta, rel=1e-12)
 
 
+def test_fock_elements_rejects_cutoff_below_one():
+    with pytest.raises(ValueError, match="cutoff must be at least 1"):
+        fock.fock_elements(fock.random_detect_operator(4), 0)
+
+
+def test_product_state_rejects_unnormalized_factor():
+    with pytest.raises(ValueError, match="normalized"):
+        ProductStateVec(a=np.array([1.0, 1.0]), b=np.array([1.0, 0.0]))
+
+
 def test_fock_elements_parity_rule():
     d = fock.random_detect_operator(4)
     t = fock.fock_elements(d, 6).tensor

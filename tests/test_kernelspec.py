@@ -41,6 +41,11 @@ def test_eigenvalue_ladder_is_geometric():
         assert analytic_eigenvalue(k, n) / analytic_eigenvalue(k, n - 1) == pytest.approx(q)
 
 
+def test_analytic_eigenvalue_rejects_negative_index():
+    with pytest.raises(ValueError, match="non-negative"):
+        analytic_eigenvalue(KernelSpec(alpha=1.0, r=0.5), -1)
+
+
 def test_negative_r_alternating_signs():
     k = KernelSpec(alpha=1.0, r=-0.5)
     assert analytic_eigenvalue(k, 0) > 0

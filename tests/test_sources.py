@@ -53,6 +53,14 @@ def test_only_symplectic_forms_two_mode_invariants():
     assert found["symplectic.py"]
 
 
+def test_only_witness_forms_lambda():
+    # witness.lambda_product_vacuum is the one place Lambda = 4 / sqrt(det) is formed,
+    # so the Fock oracle's prefactor and the witness value cannot drift apart
+    found = {path.name: calls_to(path, "detect_determinant") for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines and name != "witness.py"} == {}
+    assert found["witness.py"]
+
+
 @pytest.mark.parametrize("name", ["simon_criterion", "family_verdicts"])
 def test_only_criteria_picks_a_two_mode_verdict(name):
     # criteria is the one module that picks a verdict, so every two-mode word is

@@ -240,6 +240,11 @@ def test_gaussian_overlap_rejects_sum_not_positive_definite(g1, g2):
         gaussian_overlap(g1, g2)
 
 
+def test_gaussian_overlap_rejects_differing_mode_counts():
+    with pytest.raises(ValueError, match="mode counts differ"):
+        gaussian_overlap(np.eye(2), np.eye(4))
+
+
 def test_gaussian_overlap_against_50_digit_determinant():
     # sqrt(det) from the Cholesky factor; an LU determinant at lambda = 1e4
     # is off by up to 3e-15

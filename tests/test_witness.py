@@ -20,12 +20,12 @@ def test_detect_operator_positivity_check():
         SixParamDetect(1.0, 1.0, 1.0, 1.0, 2.0, 0.0, PositivityMode.OPERATOR_PSD)
 
 
-def test_detect_operator_quantum_state_mode():
-    # gamma = I is a quantum state; gamma = 0.5 I is PSD but not a state
-    SixParamDetect(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, PositivityMode.QUANTUM_STATE)
-    SixParamDetect(0.5, 0.5, 0.5, 0.5, 0.0, 0.0, PositivityMode.OPERATOR_PSD)
+def test_detect_operator_need_not_be_a_state():
+    # the witness is the identity minus a Gaussian operator, so gamma_M >= 0 is the
+    # one rule: 0.5 I is PSD but not a state's CM
     with pytest.raises(NotPhysical):
-        SixParamDetect(0.5, 0.5, 0.5, 0.5, 0.0, 0.0, PositivityMode.QUANTUM_STATE)
+        validate_cm(0.5 * np.eye(4))
+    SixParamDetect(0.5, 0.5, 0.5, 0.5, 0.0, 0.0, PositivityMode.OPERATOR_PSD)
 
 
 @pytest.mark.parametrize("mode", list(PositivityMode))
@@ -599,3 +599,9 @@ def test_cubic_roots_with_vanishing_leading_coefficients():
     for row, finite in ((1, [1.0, 2.0]), (2, [1.0, 2.0]), (3, [0.5])):
         assert roots[row] == finite
     assert roots[4] == []
+
+
+def test_quadratic_without_real_roots_gives_its_vertex():
+    # a negative discriminant leaves the vertex -d1 / (2 d2) as the one candidate
+    assert witness._stationary_points(0.0, 1.0, 0.0, 1.0) == [-0.0]
+    assert witness._stationary_points(0.0, 1.0, -2.0, 5.0) == [1.0]

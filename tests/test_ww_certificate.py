@@ -133,6 +133,12 @@ def test_empty_interval():
     assert not criteria.ww_pair_exists(WernerWolf2x2Params(1.0, 1.0, 2.0, 2.0, 0.0, 0.3))
 
 
+def test_no_certificate_without_positive_c_and_d():
+    # unvalidated inputs with C = 0: the certificate's interval needs C, D > 0
+    assert criteria.ww_pair_exists(WernerWolf2x2Params(1.0, 1.0, 0.0, 1.0, 0.0, 0.0)) is False
+    assert criteria.refined_ww_search(StandardForm(1.0, 0.0, 0.0, 0.0)) is None
+
+
 def test_stationarity_quadratic_matches_symbolic_derivative():
     A, B, C, D, E, F, u = sympy.symbols("A B C D E F u", positive=True)
     h = (C - E**2 / (A - u)) * (D - F**2 * u / (B * u - 1))
