@@ -126,10 +126,9 @@ def simon_criterion(state):
     """Simon criterion (PPT-equivalent) for a two-mode CovarianceMatrix or StandardForm:
     the exact margin det gamma - det A - det B - 2 |det C| + 1 of state.invariants, the
     CM's own or the standard form's CM's, rounded once (+-inf past float64)."""
-    det_a, det_b, det_c, det, k = state.invariants
-    top = 4 * max(k, 0)  # det gamma is at scale 2^4k, the 2x2 dets at 2^2k
-    margin = (det << top - 4 * k) - (det_a + det_b + 2 * abs(det_c) << top - 2 * k) + (1 << top)
-    return Verdict("simon", symplectic.unscale(margin, 1, top))
+    det_a, det_b, det_c, det, k = state.invariants  # det gamma at scale 2^4k, the rest at 2^2k
+    margin = det - (det_a + det_b + 2 * abs(det_c) << 2 * k) + (1 << 4 * k)
+    return Verdict("simon", symplectic.unscale(margin, 1, 4 * k))
 
 
 def symmetric_two_mode(a, c1, c2):
@@ -156,11 +155,6 @@ def _slack(c, e, t):
     return max(c - e * e / t, 0.0) if t > 0 else 0.0
 
 
-def _holds(s1, s2, s3, s4, e, f):
-    """Float test of s1 s2 >= e^2 and s3 s4 >= f^2 with every factor >= 0."""
-    return min(s1, s2, s3, s4) >= 0 and s1 * s2 >= e * e and s3 * s4 >= f * f
-
-
 def _stationarity_coefficients(A, B, C, D, E, F):
     """(a2, a1, a0) of F^2 C (A - u)^2 - E^2 D (B u - 1)^2 + E^2 F^2 (B u^2 - A)."""
     e2, f2 = E * E, F * F
@@ -170,7 +164,7 @@ def _stationarity_coefficients(A, B, C, D, E, F):
 
 
 def _product_certificate(A, B, C, D, E, F):
-    """(x, y) > 0 with (A - 1/x)(C - 1/y) >= E^2 and (B - x)(D - y) >= F^2, or None.
+    """(x, y) > 0 with (A - 1/x)(C - 1/y) >= E^2 and (B - x)(D - y) >= F^2 in float, or None.
 
     With u = 1/x, a y exists iff h(u) = f1 f2 >= 1, where f1 = C - E^2/(A - u)
     and f2 = D - F^2/(B - 1/u); y is then any point of [1/f1, f2]. Both
@@ -180,7 +174,9 @@ def _product_certificate(A, B, C, D, E, F):
     The maximum of h is the best of the interval ends and the quadratic's roots
     inside, which witness._stationary_points gives with d3 = 0.
     y is the geometric middle of its range, and x the geometric middle of
-    its range given y, so both inequalities keep slack where they can.
+    its range given y, so both inequalities keep slack where they can. The
+    pair is returned only if it passes the inequalities, each factor >= 0,
+    as float64 evaluates them: rounding can put a solved pair an ulp outside.
     """
     if min(C, D, B * D - F * F) <= 0:
         return None
@@ -194,20 +190,17 @@ def _product_certificate(A, B, C, D, E, F):
     umax, xmax = _slack(A, E, C - 1.0 / y), _slack(B, F, D - y)
     if umax * xmax < 1:
         return None
-    return math.sqrt(xmax / umax), y
+    x = math.sqrt(xmax / umax)
+    s1, s2, s3, s4 = A - 1.0 / x, C - 1.0 / y, B - x, D - y
+    if min(s1, s2, s3, s4) >= 0 and s1 * s2 >= E * E and s3 * s4 >= F * F:
+        return x, y
+    return None
 
 
 def ww_pair_exists(p):
-    """Whether (x, y) > 0 satisfies the pure-product certificate pair.
-
-    The pair is (A - 1/x)(C - 1/y) >= E^2 and (B - x)(D - y) >= F^2; the
-    solved (x, y) is checked against it in float before True is returned.
-    """
-    pair = _product_certificate(p.A, p.B, p.C, p.D, p.E, p.F)
-    if pair is None:
-        return False
-    x, y = pair
-    return _holds(p.A - 1.0 / x, p.C - 1.0 / y, p.B - x, p.D - y, p.E, p.F)
+    """Whether _product_certificate finds (x, y) > 0 with (A - 1/x)(C - 1/y) >= E^2
+    and (B - x)(D - y) >= F^2, the pure-product certificate pair, in float."""
+    return _product_certificate(p.A, p.B, p.C, p.D, p.E, p.F) is not None
 
 
 def multimode_symmetric_full_sep(p):
@@ -320,26 +313,24 @@ def refined_ww_check(gamma, *locals_):
 
     Each local CM must be pure (determinant 1 within LOCAL_DET_TOL); works for
     any number of parties. A raw array, gamma or local, passes validate_cm
-    first, as in kernel_verdict; a CovarianceMatrix is taken as it is.
+    first, as in kernel_verdict; a CovarianceMatrix is taken as it is. Locals
+    whose dimensions do not add up to gamma's, too few or too many, get one
+    ValueError, after every local has passed its own checks.
     """
-    g = (gamma if isinstance(gamma, CovarianceMatrix) else validate_cm(gamma)).entries
-    blocks = []
+    g = (gamma if isinstance(gamma, CovarianceMatrix) else validate_cm(gamma)).entries.copy()
+    off = 0
     for loc in locals_:
         m = (loc if isinstance(loc, CovarianceMatrix) else validate_cm(loc)).entries
         d = np.linalg.det(m)
         if abs(d - 1.0) > LOCAL_DET_TOL:
             raise ImpureLocalCM(f"local CM determinant {d!r} deviates from 1")
-        blocks.append(m)
-    direct_sum = np.zeros_like(g)
-    off = 0
-    for m in blocks:
-        k = m.shape[0]
-        direct_sum[off : off + k, off : off + k] = m
-        off += k
-    if off != g.shape[0]:
+        end = off + len(m)
+        if end <= len(g):
+            g[off:end, off:end] -= m
+        off = end
+    if off != len(g):
         raise ValueError("local CM dimensions do not match the full CM")
-    w = np.linalg.eigvalsh(g - direct_sum)
-    return bool(w[0] >= -PSD_ATOL)
+    return bool(np.linalg.eigvalsh(g)[0] >= -PSD_ATOL)
 
 
 def refined_ww_search(sf):
@@ -348,12 +339,8 @@ def refined_ww_search(sf):
     gamma_A = diag(1/x, x) and gamma_B = diag(y, 1/y) fit under gamma iff
     (a - 1/x)(b - y) >= c1^2 and (a - x)(b - 1/y) >= c2^2: the Werner-Wolf
     pair for (a, a, b, b, c1, c2) with y -> 1/y, whose margin there is the
-    Simon margin. The pair is checked in float before it is returned.
+    Simon margin. _product_certificate checks its pair in float, and (x, 1/y)
+    of that pair is returned.
     """
     pair = _product_certificate(sf.a, sf.a, sf.b, sf.b, sf.c1, sf.c2)
-    if pair is None:
-        return None
-    x, y = pair[0], 1.0 / pair[1]
-    if not _holds(sf.a - 1.0 / x, sf.b - y, sf.a - x, sf.b - 1.0 / y, sf.c1, sf.c2):
-        return None
-    return x, y
+    return None if pair is None else (pair[0], 1.0 / pair[1])

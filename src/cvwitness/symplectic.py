@@ -68,7 +68,7 @@ class CovarianceMatrix:
         det_a, det_b, det_c, det, k = self.invariants
         tiny, den = (1e-12).as_integer_ratio()  # det / 4^k <= tiny / den, in ints
         if (min(self.entries[0, 0], self.entries[2, 2]) <= 0
-                or min(det_a, det_b) * den << max(-2 * k, 0) <= tiny << max(2 * k, 0)):
+                or min(det_a, det_b) * den <= tiny << 2 * k):
             raise DegenerateBlock("2x2 diagonal block is singular or not positive definite")
         # a, b at scale 2^(k + t), and c1^2 = sq / root at scale 4^k
         t = max(0, 54 + _GUARD - min(det_a.bit_length(), det_b.bit_length()) // 2)
@@ -91,8 +91,7 @@ class ModePartition:
     parties: tuple
 
     def __post_init__(self):
-        labels = set(self.parties)
-        if len(labels) < 2:
+        if len(set(self.parties)) < 2:
             raise ValueError("a partition needs at least two parties")
 
     @property
@@ -104,11 +103,7 @@ class ModePartition:
 
     @property
     def labels(self):
-        seen = []
-        for p in self.parties:
-            if p not in seen:
-                seen.append(p)
-        return seen
+        return list(dict.fromkeys(self.parties))
 
     @staticmethod
     def bipartite(n_a, n_b):
@@ -239,11 +234,14 @@ _GUARD = 64
 
 
 def _scaled_ints(values):
-    """The finite floats values as exact ints at scale 2^K, and K. 2^-K is the
-    least place value of their 53-bit mantissas, so scaling every value by a power
-    of two leaves the ints alone. Each value is its mantissa's int shifted by its
-    exponent plus K, exact from subnormals to 1.7e308."""
-    k = 53 - math.frexp(min(map(abs, filter(None, values)), default=0.5))[1]
+    """The finite floats values as exact ints at scale 2^K, and K >= 0. 2^-K is the
+    least place value of their 53-bit mantissas, or 1 where every nonzero value is
+    at least 2^53 and so already an int. Scaling every value by a power of two
+    leaves the ints alone until then; past it the ints scale in place of K, and
+    each output, rounded once from the same exact rationals, still scales bit for
+    bit. Each value is its mantissa's int shifted by its exponent plus K, exact
+    from subnormals to 1.7e308."""
+    k = max(0, 53 - math.frexp(min(map(abs, filter(None, values)), default=0.5))[1])
     return [int(math.ldexp(m, 53)) << (e - 53 + k) if m else 0
             for m, e in map(math.frexp, values)], k
 
@@ -267,9 +265,10 @@ def two_mode_invariants(entries):
 
 
 def unscale(num, den, k):
-    """num / (den 2^k) for ints num and den > 0, rounded once; +-inf beyond float64 range."""
+    """num / (den 2^k) for ints num, den > 0 and k >= 0, rounded once; +-inf beyond
+    float64 range."""
     try:
-        return num / (den << k) if k >= 0 else (num << -k) / den
+        return num / (den << k)
     except OverflowError:
         return math.inf if num > 0 else -math.inf
 

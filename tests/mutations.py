@@ -153,6 +153,17 @@ MUTATIONS = [
                "tests/test_ww_certificate.py::test_refined_search_near_boundary[1e-07]",
                "tests/test_acceptance.py::test_acceptance_10_werner_wolf_closed_form_vs_search"),
     ),
+    # the product certificate returned without its float recheck: on rounded
+    # pure product states the solved pair can sit an ulp outside the inequalities
+    Mutation(
+        id="certificate-float-recheck-off",
+        file="src/cvwitness/criteria.py",
+        old="    if min(s1, s2, s3, s4) >= 0 and s1 * s2 >= E * E and s3 * s4 >= F * F:\n",
+        new="    if True:\n",
+        tests=("tests/test_ww_certificate.py::"
+               "test_every_certificate_passes_the_float_test_on_pure_product_states",
+               "tests/test_ww_certificate.py::test_certificate_an_ulp_outside_is_refused"),
+    ),
     # each value's mantissa cut to 52 bits on its way to an int: the invariants
     # are off wherever a lowest mantissa bit is set
     Mutation(
@@ -178,11 +189,10 @@ MUTATIONS = [
     Mutation(
         id="simon-margin-in-float",
         file="src/cvwitness/criteria.py",
-        old=("    det_a, det_b, det_c, det, k = state.invariants\n"
-             "    top = 4 * max(k, 0)  # det gamma is at scale 2^4k, the 2x2 dets at 2^2k\n"
-             "    margin = (det << top - 4 * k) - (det_a + det_b + 2 * abs(det_c) << top - 2 * k)"
-             " + (1 << top)\n"
-             '    return Verdict("simon", symplectic.unscale(margin, 1, top))\n'),
+        old=("    det_a, det_b, det_c, det, k = state.invariants"
+             "  # det gamma at scale 2^4k, the rest at 2^2k\n"
+             "    margin = det - (det_a + det_b + 2 * abs(det_c) << 2 * k) + (1 << 4 * k)\n"
+             '    return Verdict("simon", symplectic.unscale(margin, 1, 4 * k))\n'),
         new=("    sf = standard_form(state) if isinstance(state, CovarianceMatrix) else state\n"
              "    a, b, c1, c2 = sf.a, sf.b, sf.c1, sf.c2\n"
              "    margin = (a * b - c1**2) * (a * b - c2**2) - 2 * abs(c1 * c2) - a**2 - b**2 + 1\n"

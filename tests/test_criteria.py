@@ -397,6 +397,18 @@ def test_refined_ww_check_refuses_locals_that_do_not_cover_the_modes():
         criteria.refined_ww_check(np.eye(4), np.eye(2))
 
 
+@pytest.mark.parametrize("locals_", [(np.eye(2),) * 3, (np.eye(4), np.eye(2))],
+                         ids=["three-single-modes", "two-modes-and-one"])
+def test_refined_ww_check_refuses_locals_beyond_the_modes(locals_):
+    with pytest.raises(ValueError, match="do not match the full CM"):
+        criteria.refined_ww_check(3.0 * np.eye(4), *locals_)
+
+
+def test_refined_ww_check_checks_every_local_before_the_dimensions():
+    with pytest.raises(ImpureLocalCM):
+        criteria.refined_ww_check(3.0 * np.eye(4), np.eye(4), np.eye(2), 2.0 * np.eye(2))
+
+
 def test_refined_ww_check_refuses_raw_arrays_that_are_not_symmetric():
     # eigvalsh reads one triangle, so unvalidated both read as a separability certificate
     skewed = 3.0 * np.eye(4)

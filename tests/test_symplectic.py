@@ -640,6 +640,14 @@ def test_two_mode_invariants_equal_exact_rational_determinants():
         assert det == exact_det(exact(g)) * Fraction(16) ** k, g.tolist()
 
 
+def test_scaled_ints_of_values_above_2_to_the_53_take_scale_1():
+    # every value is at least 2^53, an int already: K stays >= 0, the ints exact
+    values = (1e200, 3e300)
+    ints, k = symplectic._scaled_ints(values)
+    assert k >= 0
+    assert [Fraction(i, 2**k) for i in ints] == [Fraction(v) for v in values]
+
+
 def test_two_mode_spectra_where_rounding_makes_det_gamma_negative():
     # a squeezed vacuum at r = 9.03 with its couplings 3 ulps apart: validate_cm
     # accepts it, yet det gamma < 0 exactly, so nu_- reads 0 as at r = 10

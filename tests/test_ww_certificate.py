@@ -5,6 +5,8 @@ scaling the couplings (E, F) or (c1, c2) along a ray; a certificate must
 come back exactly when the margin is nonnegative, and must fit under the CM.
 """
 
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -127,6 +129,43 @@ def test_one_coupling_zero(params):
     assert min(A - 1.0 / x, C - 1.0 / y, B - x, D - y) >= 0
     assert (A - 1.0 / x) * (C - 1.0 / y) >= E * E
     assert (B - x) * (D - y) >= F * F
+
+
+def _passes(A, B, C, D, E, F, x, y):
+    """The certificate pair in float64, each factor >= 0."""
+    s1, s2, s3, s4 = A - 1.0 / x, C - 1.0 / y, B - x, D - y
+    return min(s1, s2, s3, s4) >= 0 and s1 * s2 >= E * E and s3 * s4 >= F * F
+
+
+def _rounded_pure_products(count, seed):
+    """(A, B, C, D) = (e^2s, e^-2s, e^2t, e^-2t), s and t from U(-2, 2): pure product
+    states, on the Werner-Wolf boundary before each entry is rounded."""
+    for s, t in np.random.default_rng(seed).uniform(-2.0, 2.0, size=(count, 2)):
+        yield math.exp(2 * s), math.exp(-2 * s), math.exp(2 * t), math.exp(-2 * t)
+
+
+def test_every_certificate_passes_the_float_test_on_pure_product_states():
+    # on the boundary the solved pair has no slack, and rounding can put it an ulp
+    # outside (35 of the 11303 pairs solved here): none of those may come back
+    found = 0
+    for A, B, C, D in _rounded_pure_products(20000, seed=3):
+        pair = criteria._product_certificate(A, B, C, D, 0.0, 0.0)
+        assert criteria.ww_pair_exists(WernerWolf2x2Params(A, B, C, D, 0.0, 0.0)) == (
+            pair is not None)
+        if pair is not None:
+            found += 1
+            assert _passes(A, B, C, D, 0.0, 0.0, *pair), (A, B, C, D)
+    assert found > 10000
+
+
+def test_certificate_an_ulp_outside_is_refused():
+    # the solve lands on x = 0.7381950178898535, where A - 1/x = -2.2e-16 in float,
+    # though the closed-form margin is exactly 0.0
+    params = (1.3546555798473439, 0.7381950178898536, 26.223107133813443,
+              0.03813430631607144, 0.0, 0.0)
+    assert criteria.werner_wolf_2x2(WernerWolf2x2Params(*params)).margin == 0.0
+    pair = criteria._product_certificate(*params)
+    assert pair is None or _passes(*params, *pair)
 
 
 def test_empty_interval():
